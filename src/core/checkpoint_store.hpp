@@ -7,8 +7,11 @@
 // generation-directory scheme:
 //
 //   <dir>/gen-<G>.dat      one pmem datastore per checkpoint generation,
-//                          written to completion before it is mentioned
-//                          anywhere else
+//                          written to completion and sealed before it is
+//                          mentioned anywhere else: the file is exactly as
+//                          long as the arena bytes it uses (header capacity
+//                          == bump == file size), so the commit CRC reads
+//                          only written bytes, not the reservation's holes
 //   <dir>/MANIFEST.json    dnnd.checkpoint.v1 — the list of committed
 //                          generations (newest last), each with the file's
 //                          byte count and CRC-32; published atomically via

@@ -34,6 +34,13 @@
 // (write_checkpoint_generation below), which adds CRC validation and
 // atomic manifest publication on top.
 //
+// A generation file is written once: after save_checkpoint it is sealed
+// (pmem::Manager::seal) so the file holds exactly the arena bytes the
+// checkpoint used — header capacity == bump == file size — and the
+// commit-time CRC covers only those bytes, never the unused tail of the
+// reservation. The reservation itself is derived from the runner's state
+// (generation_capacity_bytes), so no build outgrows a fixed arena size.
+//
 // Restore requires a runner with the same rank count and k; the element
 // type is checked via the pmem type hashes.
 #pragma once
@@ -254,9 +261,37 @@ void load_checkpoint(pmem::Manager& manager,
 
 // ---- generation-store glue (crash consistency across torn file writes) ----
 
+/// Arena capacity that always holds one generation of `runner`'s state.
+/// The payload save_checkpoint writes is each rank's feature CSR (values,
+/// offsets, ids) plus its neighbor-row CSR (k entries, an offset and an id
+/// per point). A pmem::vector grown by doubling leaves freed blocks that
+/// sum to under its final block, and size classes round each block up to
+/// a power of two, so a vector's arena footprint stays below 8x its
+/// payload; 1 MiB more covers the directory and fixed-size records.
+/// Reserving generously is cheap: the file is sparse until written, and
+/// write_checkpoint_generation seals it to the bytes actually used.
+template <typename T, typename DistanceFn>
+std::size_t generation_capacity_bytes(DnndRunner<T, DistanceFn>& runner) {
+  constexpr std::size_t kPerPointBytes =
+      sizeof(std::uint64_t) + sizeof(VertexId);  // a CSR offset and an id
+  std::size_t payload = 0;
+  for (int r = 0; r < runner.environment().num_ranks(); ++r) {
+    auto& engine = runner.engine(r);
+    const auto& points = engine.local_points();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      payload += points.row(i).size() * sizeof(T);
+    }
+    payload += points.size() *
+               (2 * kPerPointBytes + engine.list_capacity() * sizeof(Neighbor));
+  }
+  return 8 * payload + (std::size_t{1} << 20);
+}
+
 /// Stages a fresh generation datastore in `store`, saves the runner's
-/// checkpoint into it, and commits it (CRC + atomic manifest publication).
-/// Returns the committed generation record.
+/// checkpoint into it, seals the file at the arena bytes it used, and
+/// commits it (CRC + atomic manifest publication). Returns the committed
+/// generation record; its `bytes` is the sealed file size, not
+/// `capacity_bytes`.
 template <typename T, typename DistanceFn>
 GenerationInfo write_checkpoint_generation(CheckpointStore& store,
                                            DnndRunner<T, DistanceFn>& runner,
@@ -267,6 +302,7 @@ GenerationInfo write_checkpoint_generation(CheckpointStore& store,
     auto manager = pmem::Manager::create(store.generation_path(gen),
                                          capacity_bytes);
     save_checkpoint(manager, runner, prefix);
+    manager.seal();
     manager.close();
   }
   return store.commit(gen, runner.completed_iterations(), runner.converged());

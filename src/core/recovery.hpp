@@ -9,7 +9,8 @@
 // (resubmit from the last checkpoint):
 //
 //   attempt 0:  fresh build, checkpointing every N iterations into a
-//               CheckpointStore generation (CRC + atomic manifest)
+//               CheckpointStore generation (CRC + atomic manifest) whose
+//               arena is sized from the runner's state
 //   on RankFailureError:  tear the environment down, make a fresh one
 //               (all ranks healthy — the simulated equivalent of the
 //               scheduler giving the job a replacement node), reopen the
@@ -43,8 +44,6 @@ struct RecoveryOptions {
   /// 0 disables checkpointing entirely — a failure then degrades to a
   /// full restart, and the build path carries zero checkpoint overhead.
   std::size_t checkpoint_every = 0;
-  /// Arena capacity of each generation datastore.
-  std::size_t checkpoint_capacity_bytes = 64ull << 20;
   /// Give up (rethrow the failure) after this many failed attempts.
   std::size_t max_attempts = 8;
   /// Resume from an existing store on the *first* attempt too (the CLI's
@@ -115,8 +114,7 @@ RecoveryResult<T, DistanceFn> run_build_with_recovery(
                                         std::size_t, bool) {
             util::Timer timer;
             const GenerationInfo info = write_checkpoint_generation(
-                store, *rp, options.checkpoint_capacity_bytes,
-                options.prefix);
+                store, *rp, generation_capacity_bytes(*rp), options.prefix);
             ++report.checkpoints_written;
             report.checkpoint_bytes += info.bytes;
             report.checkpoint_seconds += timer.elapsed_s();

@@ -39,7 +39,10 @@ struct ArenaHeader {
   std::uint64_t magic = 0;
   std::uint32_t version = 0;
   std::uint32_t reserved = 0;
-  std::uint64_t capacity = 0;     ///< total file bytes
+  /// Bytes the arena may hand out, never more than the file's size: the
+  /// create()-time reservation, or — once Manager::seal() has trimmed a
+  /// write-once datastore — exactly `bump`, which is then the file size.
+  std::uint64_t capacity = 0;
   std::uint64_t bump = 0;         ///< next never-allocated byte (base-relative)
   std::uint64_t allocated = 0;    ///< live bytes (diagnostics)
   std::uint64_t high_water = 0;   ///< max of `allocated` over the file's life

@@ -104,6 +104,20 @@ void Manager::flush() {
   }
 }
 
+void Manager::seal() {
+  if (base_ == nullptr) throw std::logic_error("Manager::seal: not open");
+  ArenaHeader* hdr = header();
+  const std::size_t used = hdr->bump;
+  hdr->capacity = used;
+  if (::msync(base_, mapped_bytes_, MS_SYNC) != 0) {
+    throw_errno("Manager::seal msync");
+  }
+  if (::ftruncate(fd_, static_cast<off_t>(used)) != 0) {
+    throw_errno("Manager::seal ftruncate");
+  }
+  if (::fdatasync(fd_) != 0) throw_errno("Manager::seal fdatasync");
+}
+
 void Manager::snapshot(const std::string& destination_path) {
   flush();
   std::ifstream src(path_, std::ios::binary);

@@ -8,6 +8,8 @@
 //   find_or_construct<T>(name, args...) named root objects
 //   find<T>(name) / destroy<T>(name)
 //   snapshot(path)                      point-in-time copy
+//   seal()                              trim the file to the arena's used
+//                                       bytes (write-once datastores)
 //
 // This is what lets DNND split work across executables exactly as the
 // paper does: the construction program builds the k-NNG into a datastore,
@@ -111,6 +113,14 @@ class Manager {
 
   /// msync(2) the mapping so the file reflects all stores.
   void flush();
+
+  /// Shrinks the datastore to the bytes its arena has used: sets the
+  /// header's capacity to the bump cursor, msyncs, truncates the file to
+  /// that length, and fdatasyncs. Afterwards allocation only reuses freed
+  /// blocks — anything needing fresh bytes fails as exhausted (nullptr /
+  /// ArenaExhausted) instead of writing past EOF — and the file reopens
+  /// through open() unchanged. Throws std::system_error on I/O failure.
+  void seal();
 
   /// Point-in-time copy of the datastore to `destination_path` (the
   /// Metall snapshot feature). The manager stays open.

@@ -1,6 +1,7 @@
 // Unit tests for the persistent memory layer: offset_ptr semantics, arena
 // allocation, the STL allocator, pmem::vector, and Manager lifecycle
-// including reopen-at-a-different-address behaviour.
+// including reopen-at-a-different-address behaviour and sealing; plus the
+// torn-write properties of the checkpoint generation store.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,10 +9,17 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "comm/environment.hpp"
 #include "core/checkpoint_store.hpp"
+#include "core/distance.hpp"
+#include "core/dnnd_checkpoint.hpp"
+#include "core/dnnd_runner.hpp"
+#include "data/synthetic.hpp"
 #include "pmem/allocator.hpp"
 #include "pmem/arena.hpp"
 #include "pmem/manager.hpp"
@@ -378,6 +386,50 @@ TEST(Manager, AllocatorThrowsWhenExhausted) {
   EXPECT_THROW((void)alloc.allocate(2 << 20), pmem::ArenaExhausted);
 }
 
+TEST(Manager, SealTrimsTheFileToTheBytesUsed) {
+  TempFile file("dnnd_pmem_seal.dat");
+  constexpr std::size_t kReserved = 4 << 20;
+  std::size_t used = 0;
+  {
+    auto mgr = pmem::Manager::create(file.path(), kReserved);
+    auto* v = mgr.find_or_construct<pmem::vector<std::uint64_t>>(
+        "numbers", mgr.get_allocator<std::uint64_t>());
+    ASSERT_NE(v, nullptr);
+    v->reserve(1000);  // one block: leaves the free lists empty
+    for (std::uint64_t i = 0; i < 1000; ++i) v->push_back(i * 7);
+    ASSERT_NE(mgr.find_or_construct<int>("answer", 42), nullptr);
+    used = mgr.stats().bump_bytes;
+    mgr.seal();
+    EXPECT_EQ(mgr.capacity_bytes(), used);
+    EXPECT_EQ(std::filesystem::file_size(file.path()), used);
+    // No fresh bytes remain, even before a reopen.
+    EXPECT_EQ(mgr.find_or_construct<int>("late", 1), nullptr);
+  }
+  EXPECT_LT(used, kReserved / 64);
+  EXPECT_EQ(std::filesystem::file_size(file.path()), used);
+
+  // The sealed file reopens through the ordinary open(): capacity equals
+  // the file size, and everything written before the seal is intact.
+  auto mgr = pmem::Manager::open(file.path());
+  EXPECT_EQ(mgr.capacity_bytes(), used);
+  EXPECT_EQ(mgr.stats().bump_bytes, used);
+  auto* v = mgr.find<pmem::vector<std::uint64_t>>("numbers");
+  ASSERT_NE(v, nullptr);
+  ASSERT_EQ(v->size(), 1000u);
+  for (std::uint64_t i = 0; i < 1000; ++i) EXPECT_EQ((*v)[i], i * 7);
+  EXPECT_EQ(*mgr.find<int>("answer"), 42);
+
+  // A new object needs fresh bytes: exhaustion, not a write past EOF.
+  EXPECT_EQ(mgr.find_or_construct<int>("fresh", 3), nullptr);
+  auto alloc = mgr.get_allocator<char>();
+  EXPECT_THROW((void)alloc.allocate(64), pmem::ArenaExhausted);
+  // Freed blocks lie inside the file, so they stay reusable.
+  EXPECT_TRUE(mgr.destroy<int>("answer"));
+  auto* reused = mgr.find_or_construct<int>("reused", 5);
+  ASSERT_NE(reused, nullptr);
+  EXPECT_LT(pmem::arena_offset_of(mgr.header(), reused), used);
+}
+
 TEST(Manager, MoveTransfersOwnership) {
   TempFile file("dnnd_pmem_move.dat");
   auto mgr = pmem::Manager::create(file.path(), 1 << 20);
@@ -423,6 +475,65 @@ dnnd::core::GenerationInfo commit_generation(dnnd::core::CheckpointStore& store,
   return store.commit(gen, iteration, false);
 }
 
+struct L2Fn {
+  float operator()(std::span<const float> a, std::span<const float> b) const {
+    return dnnd::core::l2(a, b);
+  }
+};
+
+dnnd::core::DnndConfig small_build_config(std::uint64_t seed) {
+  dnnd::core::DnndConfig cfg;
+  cfg.k = 8;
+  cfg.delta = 0.0;
+  cfg.max_iterations = 3;
+  cfg.seed = seed;
+  return cfg;
+}
+
+/// Commits generations through the real checkpoint path — a small 4-rank
+/// build whose hook writes a sealed pmem generation every iteration — and
+/// returns the store's two newest, each recording the iteration it cut.
+std::pair<dnnd::core::GenerationInfo, dnnd::core::GenerationInfo>
+commit_checkpoint_generations(dnnd::core::CheckpointStore& store,
+                              const dnnd::core::FeatureStore<float>& points,
+                              std::uint64_t seed) {
+  dnnd::comm::Environment env(dnnd::comm::Config{.num_ranks = 4});
+  dnnd::core::DnndRunner<float, L2Fn> runner(env, small_build_config(seed),
+                                             L2Fn{});
+  runner.set_checkpoint_hook(1, [&](std::size_t, bool) {
+    dnnd::core::write_checkpoint_generation(store, runner, 4 << 20);
+  });
+  runner.distribute(points);
+  runner.build();
+  const auto gens = store.generations();
+  EXPECT_EQ(gens.size(), dnnd::core::CheckpointStore::kKeepGenerations);
+  return {gens.front(), gens.back()};
+}
+
+/// Damages a committed file the way a crash or bad media can; `kind`
+/// (0, 1 or 2) picks one of the three cases below.
+void corrupt(const std::string& path, std::uint64_t bytes,
+             std::uint64_t kind, std::mt19937_64& rng) {
+  if (kind == 0) {
+    // Torn write: truncate at a random interior offset.
+    std::filesystem::resize_file(path, rng() % bytes);
+  } else if (kind == 1) {
+    // Bit flip at a random offset.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const auto at = static_cast<std::streamoff>(rng() % bytes);
+    f.seekg(at);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ (1 << (rng() % 8)));
+    f.seekp(at);
+    f.write(&byte, 1);
+  } else {
+    // Trailing garbage (e.g. a crashed re-extend).
+    std::ofstream f(path, std::ios::binary | std::ios::app);
+    f.put('x');
+  }
+}
+
 TEST(CheckpointStoreTornWrites, RandomCorruptionAlwaysRollsBack) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
     SCOPED_TRACE("property seed " + std::to_string(seed));
@@ -433,34 +544,39 @@ TEST(CheckpointStoreTornWrites, RandomCorruptionAlwaysRollsBack) {
     const auto newest = commit_generation(store, 6, 8192, rng);
     ASSERT_EQ(store.open_latest()->generation, newest.generation);
 
-    const std::string newest_path = dir.path() + "/" + newest.file;
-    const auto kind = rng() % 3;
-    if (kind == 0) {
-      // Torn write: truncate at a random interior offset.
-      const auto keep = rng() % newest.bytes;
-      std::filesystem::resize_file(newest_path, keep);
-    } else if (kind == 1) {
-      // Bit flip at a random offset.
-      std::fstream f(newest_path,
-                     std::ios::in | std::ios::out | std::ios::binary);
-      const auto at = static_cast<std::streamoff>(rng() % newest.bytes);
-      f.seekg(at);
-      char byte = 0;
-      f.read(&byte, 1);
-      byte = static_cast<char>(byte ^ (1 << (rng() % 8)));
-      f.seekp(at);
-      f.write(&byte, 1);
-    } else {
-      // Trailing garbage (e.g. a crashed re-extend).
-      std::ofstream f(newest_path, std::ios::binary | std::ios::app);
-      f.put('x');
-    }
-
+    corrupt(dir.path() + "/" + newest.file, newest.bytes, rng() % 3, rng);
     EXPECT_FALSE(store.valid(newest));
     const auto opened = store.open_latest();
     ASSERT_TRUE(opened.has_value());
     EXPECT_EQ(opened->generation, good.generation);
     EXPECT_EQ(opened->iteration, 3u);
+  }
+
+  // The same property over sealed checkpoint datastores written by
+  // write_checkpoint_generation, one build per corruption kind; the
+  // rolled-back generation still loads.
+  const auto points =
+      dnnd::data::GaussianMixture({.dim = 8, .seed = 17}).sample(200, 1);
+  for (const std::uint64_t kind : {0ULL, 1ULL, 2ULL}) {
+    const std::uint64_t seed = kind + 1;
+    SCOPED_TRACE("checkpoint generations, corruption kind " +
+                 std::to_string(kind));
+    std::mt19937_64 rng(seed);
+    TempDir dir("dnnd_store_torn_ckpt_" + std::to_string(seed));
+    dnnd::core::CheckpointStore store(dir.path());
+    const auto [good, newest] =
+        commit_checkpoint_generations(store, points, seed);
+    ASSERT_EQ(store.open_latest()->generation, newest.generation);
+
+    corrupt(dir.path() + "/" + newest.file, newest.bytes, kind, rng);
+    EXPECT_FALSE(store.valid(newest));
+    dnnd::comm::Environment env(dnnd::comm::Config{.num_ranks = 4});
+    dnnd::core::DnndRunner<float, L2Fn> runner(env, small_build_config(seed),
+                                               L2Fn{});
+    const auto loaded = dnnd::core::load_latest_generation(store, runner);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->generation, good.generation);
+    EXPECT_EQ(runner.completed_iterations(), good.iteration);
   }
 }
 

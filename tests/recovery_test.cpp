@@ -209,7 +209,6 @@ std::vector<RecoveryCase> make_cases() {
 RecoveryOptions recovery_options(const KillPlan& plan) {
   RecoveryOptions opts;
   opts.checkpoint_every = plan.checkpoint_every;
-  opts.checkpoint_capacity_bytes = 16ull << 20;
   return opts;
 }
 
@@ -604,6 +603,87 @@ TEST(Recovery, ResumeWithDifferentSeedIsRejected) {
   DnndRunner<float, L2Fn> runner(env, chaos_config(27), L2Fn{});
   EXPECT_THROW(core::load_latest_generation(store, runner),
                std::runtime_error);
+}
+
+// -- sealed generation files -------------------------------------------------
+
+// A committed generation is exactly as long as the arena bytes it used:
+// the manifest's byte count, the file size, the reopened header's
+// capacity and its bump cursor all agree, far below the reservation.
+TEST(Recovery, CommittedGenerationIsSealedAtItsBump) {
+  constexpr std::size_t kReserved = 16ull << 20;
+  CheckpointStore store(fresh_ckpt_dir("sealed_generation"));
+  {
+    Config env_cfg{.num_ranks = kRanks};
+    Environment env(env_cfg);
+    DnndRunner<float, L2Fn> runner(env, chaos_config(30), L2Fn{});
+    runner.set_checkpoint_hook(1, [&](std::size_t, bool) {
+      core::write_checkpoint_generation(store, runner, kReserved);
+    });
+    runner.distribute(dataset());
+    runner.build();
+  }
+  const auto gens = store.generations();
+  ASSERT_EQ(gens.size(), CheckpointStore::kKeepGenerations);
+  for (const auto& info : gens) {
+    SCOPED_TRACE(info.file);
+    const std::string path = store.directory() + "/" + info.file;
+    EXPECT_EQ(fs::file_size(path), info.bytes);
+    EXPECT_LT(info.bytes, kReserved / 16);
+    auto manager = pmem::Manager::open(path);
+    EXPECT_EQ(manager.capacity_bytes(), info.bytes);
+    EXPECT_EQ(manager.stats().bump_bytes, info.bytes);
+    // Fresh bytes are gone: a new object larger than any freed block
+    // fails as exhausted instead of landing past EOF.
+    struct Big {
+      std::byte payload[1 << 20];
+    };
+    EXPECT_EQ(manager.find_or_construct<Big>("late"), nullptr);
+  }
+  EXPECT_TRUE(store.valid(gens.back()));
+}
+
+// The arena size the recovery supervisor derives from a runner's state
+// must hold a whole generation of it, dense or sparse, so no build outgrows
+// its checkpoint arena. Inputs are sized so a generation exceeds the fixed
+// 1 MiB headroom and the state-proportional term is what is tested.
+template <typename T, typename Fn>
+void expect_derived_capacity_holds_a_generation(
+    const core::FeatureStore<T>& points, const std::string& tag) {
+  SCOPED_TRACE(tag);
+  CheckpointStore store(fresh_ckpt_dir(tag));
+  Config env_cfg{.num_ranks = kRanks};
+  Environment env(env_cfg);
+  DnndConfig cfg;
+  cfg.k = kK;
+  cfg.max_iterations = 1;  // rows are full after initialization
+  DnndRunner<T, Fn> runner(env, cfg, Fn{});
+  runner.distribute(points);
+  runner.build();
+  const std::size_t capacity = core::generation_capacity_bytes(runner);
+  const auto info = core::write_checkpoint_generation(store, runner, capacity);
+  EXPECT_GT(info.bytes, std::size_t{1} << 20);
+  EXPECT_GE(capacity, info.bytes);
+  auto manager = pmem::Manager::open(store.directory() + "/" + info.file);
+  EXPECT_EQ(manager.stats().bump_bytes, info.bytes);
+}
+
+struct JaccardFn {
+  float operator()(std::span<const std::uint32_t> a,
+                   std::span<const std::uint32_t> b) const {
+    return core::jaccard_sorted(a, b);
+  }
+};
+
+TEST(Recovery, DerivedGenerationCapacityCoversDenseAndSparseState) {
+  data::MixtureSpec spec;
+  spec.dim = 64;
+  spec.seed = 31;
+  expect_derived_capacity_holds_a_generation<float, L2Fn>(
+      data::GaussianMixture(spec).sample(2000, 1), "derived_dense");
+  expect_derived_capacity_holds_a_generation<std::uint32_t, JaccardFn>(
+      data::SparseSetFamily(data::SparseSetSpec{}).sample(4000, 1),
+      "derived_sparse");
 }
 
 }  // namespace

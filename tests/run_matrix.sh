@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Build-matrix driver: configures and builds the repo in every supported
-# configuration and runs the tier-1 suite in each. Today's matrix:
+# configuration and runs the tier-1, recovery, concurrency and
+# serving-chaos suites plus the metrics gate in each. Today's matrix:
 #
 #   default        DNND_TELEMETRY=ON  (the normal build)
 #   telemetry-off  DNND_TELEMETRY=OFF (instrumentation compiled to no-ops;
@@ -20,6 +21,10 @@
 #                  graphs and counters are bit-identical to serial runs,
 #                  so the SAME committed metrics baseline gates it
 #                  unchanged — with 4 threads on.
+#   asan           DNND_SANITIZE=address (AddressSanitizer + UBSan): the
+#                  mmap'd datastore paths (arena, sealed checkpoint
+#                  generations, reopen) and every test run under memory
+#                  and undefined-behaviour checking.
 #
 # Usage:
 #   tests/run_matrix.sh            # whole matrix
@@ -36,6 +41,7 @@ declare -A configs=(
   [telemetry-off]="-DDNND_TELEMETRY=OFF"
   [simd-off]="-DDNND_SIMD=OFF"
   [tsan]="-DDNND_SANITIZE=thread"
+  [asan]="-DDNND_SANITIZE=address"
 )
 
 # Per-configuration run environment (prepended to every test/gate command).
@@ -62,34 +68,35 @@ for name in "${selected[@]}"; do
   echo "==== configuration ${name} (${configs[$name]}) ===="
   # shellcheck disable=SC2086 — the flags string is intentionally split
   cmake -B "$build_dir" -S . ${configs[$name]}
-  cmake --build "$build_dir" -j
+  # Bounded: an unbounded -j runs one compiler per target at once, which
+  # under ASan instrumentation needs tens of GB.
+  cmake --build "$build_dir" -j "$(nproc)"
+  # Three labelled suites must exist in every flavour, besides tier1:
+  #   recovery       kill-and-resume; checkpoint and resume paths are
+  #                  instrumented, so telemetry-off proves recovery does
+  #                  not depend on the counters existing
+  #   concurrency    striped NeighborList hammer, thread parity matrix —
+  #                  the TSan leg's main payload
+  #   serving-chaos  replicated serving failover: detection, replica
+  #                  routing and degraded-mode coverage, driven by the
+  #                  TSan leg's 4-thread run environment
+  # One ctest invocation runs all four suites. Each non-tier1 label is
+  # first checked to select at least one test, so a label typo fails the
+  # leg before anything runs (ctest ignores --no-tests=error under -N, so
+  # the guard counts the listing instead).
+  for label in recovery concurrency serving-chaos; do
+    listed=$(cd "$build_dir" && ctest -N -L "$label" |
+             sed -n 's/^Total Tests: //p')
+    if [[ "${listed:-0}" -eq 0 ]]; then
+      echo "configuration ${name}: no tests labelled '${label}'" >&2
+      exit 1
+    fi
+  done
   # shellcheck disable=SC2086 — the env string is intentionally split
   (cd "$build_dir" &&
-   env ${run_env[$name]:-} ctest -L tier1 --output-on-failure -j "$(nproc)")
-  # Kill-and-resume recovery must hold in every flavour: checkpoint and
-  # resume paths are instrumented, so a telemetry-off build exercising the
-  # same matrix proves recovery does not depend on the counters existing.
-  # shellcheck disable=SC2086
-  (cd "$build_dir" &&
    env ${run_env[$name]:-} \
-     ctest -L recovery --no-tests=error --output-on-failure -j "$(nproc)")
-  # The concurrency property tests (striped NeighborList hammer, thread
-  # parity matrix) must be present in every flavour — they are the TSan
-  # leg's main payload, and --no-tests=error catches a label typo.
-  # shellcheck disable=SC2086
-  (cd "$build_dir" &&
-   env ${run_env[$name]:-} \
-     ctest -L concurrency --no-tests=error --output-on-failure -j "$(nproc)")
-  # Replicated serving failover (ISSUE 10) must hold in every flavour:
-  # failure detection, replica routing and degraded-mode coverage may not
-  # depend on telemetry counters existing (telemetry-off), and the TSan
-  # leg drives the serving protocol with its 4-thread run environment.
-  # --no-tests=error catches a label typo.
-  # shellcheck disable=SC2086
-  (cd "$build_dir" &&
-   env ${run_env[$name]:-} \
-     ctest -L serving-chaos --no-tests=error --output-on-failure \
-       -j "$(nproc)")
+     ctest -L 'tier1|recovery|concurrency|serving-chaos' --no-tests=error \
+       --output-on-failure -j "$(nproc)")
   # Metrics regression gate in every flavour: the baseline is recorded
   # with tracing disabled, so handler byte counters must match even under
   # DNND_TELEMETRY=OFF — a mismatch there means telemetry leaked bytes
