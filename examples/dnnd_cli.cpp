@@ -35,12 +35,15 @@
 //
 // File type is inferred from the extension: .fvecs/.fbin = float32,
 // .bvecs/.u8bin = uint8. Metric is L2 (the billion-scale datasets').
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "telemetry/analysis.hpp"
@@ -325,7 +328,7 @@ int cmd_build(int argc, char** argv) {
 struct QueryOptions {
   std::string gt_file;
   double epsilon = 0.2;
-  int serve_ranks = 0;  ///< 0 = legacy local searcher path
+  int serve_ranks = 0;  ///< 0 = local zero-copy searcher
   int replication = 1;
   std::vector<mpi::CrashFault> kills;
 };
@@ -423,6 +426,16 @@ int serve_typed(pmem::Manager& mgr, const std::string& store,
   return 0;
 }
 
+/// Parses all of `text` as a base-10 integer of `out`'s type. False for
+/// empty text, a non-digit anywhere (trailing junk included) or a value
+/// out of range, so a mistyped flag is rejected rather than read as 0.
+template <typename Int>
+bool parse_whole_number(std::string_view text, Int& out) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
 template <typename T, typename Fn>
 int query_typed(pmem::Manager& mgr, const core::FeatureStore<T>& queries,
                 const std::string& gt_file, double epsilon) {
@@ -461,23 +474,38 @@ int cmd_query(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--serve" && i + 1 < argc) {
-      opts.serve_ranks = std::atoi(argv[++i]);
-    } else if (arg == "--replication" && i + 1 < argc) {
-      opts.replication = std::atoi(argv[++i]);
-    } else if (arg == "--kill" && i + 1 < argc) {
-      // R@T: rank R crashes at tick T of the query epoch.
-      const std::string spec = argv[++i];
-      const auto at = spec.find('@');
-      if (at == std::string::npos) {
-        std::fprintf(stderr, "query: --kill wants R@T, got %s\n",
-                     spec.c_str());
+      if (!parse_whole_number(argv[++i], opts.serve_ranks) ||
+          opts.serve_ranks < 1) {
+        std::fprintf(stderr,
+                     "query: --serve wants a rank count >= 1, got %s\n",
+                     argv[i]);
         return 2;
       }
-      opts.kills.push_back(mpi::CrashFault{
-          .rank = std::atoi(spec.substr(0, at).c_str()),
-          .at_tick =
-              static_cast<std::uint64_t>(std::atoll(spec.c_str() + at + 1)),
-          .after_serving_epoch = true});
+    } else if (arg == "--replication" && i + 1 < argc) {
+      if (!parse_whole_number(argv[++i], opts.replication) ||
+          opts.replication < 1) {
+        std::fprintf(stderr,
+                     "query: --replication wants a factor >= 1, got %s\n",
+                     argv[i]);
+        return 2;
+      }
+    } else if (arg == "--kill" && i + 1 < argc) {
+      // R@T: rank R crashes at tick T of the query epoch.
+      const std::string_view spec = argv[++i];
+      const auto at = spec.find('@');
+      mpi::CrashFault crash;
+      crash.after_serving_epoch = true;
+      if (at == std::string_view::npos ||
+          !parse_whole_number(spec.substr(0, at), crash.rank) ||
+          crash.rank < 0 ||
+          !parse_whole_number(spec.substr(at + 1), crash.at_tick)) {
+        std::fprintf(stderr,
+                     "query: --kill wants R@T with integers R, T >= 0, "
+                     "got %s\n",
+                     argv[i]);
+        return 2;
+      }
+      opts.kills.push_back(crash);
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "query: unknown flag %s\n", arg.c_str());
       return 2;
@@ -650,8 +678,8 @@ int cmd_stats(int argc, char** argv) {
             counter("ckpt.write_us") / 1e3 / written);
       }
       // Serving failover/degradation, when the artifact came from a
-      // `query --serve` run (the counters are registered lazily, so a
-      // plain build export never contains them).
+      // `query --serve` run (a plain build never constructs the query
+      // service, so its export never contains these counters).
       const double failover = counter("query.failover.reissues") +
                               counter("query.failover.rerouted") +
                               counter("query.failover.resubmitted") +

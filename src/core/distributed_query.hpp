@@ -8,57 +8,56 @@
 // the adjacency and the features partitioned as DNND left them and runs
 // the §3.3 greedy search by message passing:
 //
-//   submit     coordinator (hash of query index) seeds entry points by
-//              weighted-rank sampling: seed_req → owner picks a random
-//              local point, evaluates θ(q, ·), replies eval_reply
-//   expand     coordinator pops the frontier, asks owner(v) for v's row
-//              (row_req → row_reply), filters visited, groups the
-//              unvisited neighbors by owner and scatters eval_batch
-//              messages carrying the query vector; owners evaluate
-//              against local features and send eval_reply
+//   submit     coordinator (query index mod ranks) draws entry points as
+//              weighted (shard, point index) pairs: seed_req → a replica
+//              of the drawn shard evaluates θ(q, ·) for that point and
+//              replies eval_reply
+//   expand     coordinator pops the frontier, asks a replica of v's shard
+//              for v's row (row_req → row_reply), filters visited, groups
+//              the unvisited neighbors by shard and scatters eval_batch
+//              messages carrying the query vector; replicas evaluate
+//              against their copy of the features and send eval_reply
 //   terminate  frontier empty or closest frontier entry beyond
 //              (1 + epsilon) · d_max — same rule as the shared-memory
 //              searcher
 //
 // Every query is a self-contained state machine on its coordinator rank;
-// progress is entirely handler-driven, so ONE quiescence barrier after
-// submission runs every in-flight query to completion. Queries proceed
-// concurrently across (and within) ranks, which is where a distributed
-// deployment gets its throughput — per-query latency pays two message
-// hops per expansion.
+// progress is entirely handler-driven, and run() polls the ranks until
+// every query completed. Queries proceed concurrently across (and within)
+// ranks, which is where a distributed deployment gets its throughput —
+// per-query latency pays two message hops per expansion.
 //
-// -- Replicated serving (ISSUE 10) --------------------------------------
+// Seeds are drawn coordinator-side from a per-query rng (fork of
+// params.seed by query index), which picks both the home shard and the
+// point within it, and each search step merges its candidates in
+// canonical order. So an answer depends on neither the coordinator rank
+// nor the run: the same batch answers bit-identically every time.
 //
-// The legacy protocol above assumes every rank stays up. The *serving*
-// protocol layered underneath (opt-in via ServingConfig) tolerates
-// crash-stop failures during the query epoch:
+// -- Failures --------------------------------------------------------------
+//
+// The protocol tolerates crash-stop failures during the query epoch:
 //
 //   * Each shard is mirrored onto `replication_factor` ranks per the
 //     ReplicaMap's chained-successor placement (a post-build replication
-//     exchange copies rows + features). Slot 0 is the home rank, so the
-//     fault-free route is identical to the legacy one.
+//     exchange copies rows + features). Slot 0 is the home rank, so with
+//     nothing dead every sub-request goes to the shard's owner.
 //   * Every sub-request (seed / row / eval-batch) carries an idempotent
 //     request id and a logical home shard. On per-request timeout it is
-//     re-issued to the next live replica with doubled timeout (the PR 1
-//     backoff shape); one hedged duplicate goes out early for
-//     stragglers. Replies are deduplicated by request id, so late or
-//     hedged duplicates merge exactly once.
+//     re-issued to the next live replica with doubled timeout; one hedged
+//     duplicate goes out early for stragglers. Replies are deduplicated
+//     by request id, so late or hedged duplicates merge exactly once.
 //   * When the failure detector declares a rank dead, every pending
 //     sub-request aimed at it reroutes immediately and future routing
 //     skips it. When EVERY replica of a shard is dead the sub-request is
 //     abandoned: the query completes in degraded mode with the best
 //     reachable results and an explicit `coverage` fraction — it never
 //     hangs and never throws.
-//   * Seed sampling moves to the coordinator: a per-query rng
-//     (fork of params.seed by query index) draws both the home shard and
-//     the index within it, so any replica answers identically and a
-//     query resubmitted after its coordinator died reproduces the same
-//     result bit-for-bit.
+//   * Because seeds come from the per-query rng, any replica answers a
+//     seed request identically, and a query resubmitted after its
+//     coordinator died reproduces the same result bit-for-bit.
 //
-// With replication_factor == 1 and no ServingConfig the legacy code path
-// runs untouched: serving handlers and counters are registered lazily in
-// configure_serving(), so metrics exports and wire traffic are
-// byte-identical to the pre-serving build.
+// With replication_factor == 1 (the default) nothing is mirrored; the
+// handlers, counters and failover logic are the same at every factor.
 #pragma once
 
 #include <algorithm>
@@ -85,25 +84,11 @@
 
 namespace dnnd::core {
 
-/// Knobs for the replicated serving path. Defaults are tuned against the
-/// simulated transport's tick clock: request timeouts well below the
-/// failure detector's 256-tick horizon so failover starts before the
-/// detector confirms the crash, and a query deadline that only fires as a
-/// last-resort liveness backstop.
+/// Deployment shape of the query service. The protocol's timing
+/// thresholds are constants of QueryEngineRank.
 struct ServingConfig {
   /// Ranks holding each shard (chained successors). 1 = no replication.
   int replication_factor = 1;
-  /// Ticks a sub-request may wait before re-issue to the next replica.
-  std::uint32_t request_timeout_ticks = 96;
-  /// Ticks before a straggling first attempt gets one hedged duplicate.
-  std::uint32_t hedge_after_ticks = 48;
-  /// Re-issues per sub-request before waiting on the failure detector.
-  std::uint32_t max_request_resends = 3;
-  /// Absolute per-query tick budget; expiry abandons remaining
-  /// sub-requests so the query completes degraded rather than hanging.
-  std::uint64_t query_deadline_ticks = std::uint64_t{1} << 20;
-  /// Redraw attempts when a seed draw lands on a dead shard.
-  std::size_t seed_redraw_limit = 64;
 };
 
 /// One weighted shard draw: the home rank and the index of the drawn
@@ -159,13 +144,13 @@ template <typename T, typename DistanceFn>
 class QueryEngineRank {
  public:
   QueryEngineRank(comm::Communicator& comm, DistanceFn distance,
-                  Partition partition, std::size_t threads = 1)
+                  Partition partition, ReplicaMap replica_map,
+                  std::size_t threads = 1)
       : comm_(&comm),
         distance_(std::move(distance)),
         partition_(std::move(partition)),
-        rng_(util::Xoshiro256(0x9e3779b9) .fork(
-            static_cast<std::uint64_t>(comm.rank()))),
-        pool_(threads == 0 ? 1 : threads) {
+        pool_(threads == 0 ? 1 : threads),
+        replica_map_(std::move(replica_map)) {
     rank_dead_.assign(static_cast<std::size_t>(comm.size()), 0);
     c_submitted_ = comm_->telemetry().counter("query.submitted");
     c_completed_ = comm_->telemetry().counter("query.completed");
@@ -179,6 +164,18 @@ class QueryEngineRank {
     pool_.set_telemetry(&comm_->telemetry(), c_tasks_);
     h_evals_per_query_ =
         comm_->telemetry().histogram("query.distance_evals_per_query");
+    c_failover_reissues_ =
+        comm_->telemetry().counter("query.failover.reissues");
+    c_failover_rerouted_ =
+        comm_->telemetry().counter("query.failover.rerouted");
+    c_failover_abandoned_ =
+        comm_->telemetry().counter("query.failover.abandoned");
+    c_failover_resubmitted_ =
+        comm_->telemetry().counter("query.failover.resubmitted");
+    c_degraded_ = comm_->telemetry().counter("query.degraded.completed");
+    c_hedges_ = comm_->telemetry().counter("query.hedge.sent");
+    t_replica_features_ = comm_->telemetry().mem_tag("mem.replica.features");
+    t_replica_rows_ = comm_->telemetry().mem_tag("mem.replica.rows");
     register_handlers();
   }
 
@@ -212,40 +209,13 @@ class QueryEngineRank {
     for (const auto w : rank_weights_) total_weight_ += w;
   }
 
-  /// Switches this engine into serving mode: registers the replicated
-  /// sub-request handlers, failover counters and replica memory-ledger
-  /// tags. Deliberately lazy — a legacy engine never calls this, so its
-  /// handler table, counters and wire bytes stay byte-identical to the
-  /// pre-serving build.
-  void configure_serving(const ServingConfig& config, ReplicaMap replica_map) {
-    serving_config_ = config;
-    replica_map_ = std::move(replica_map);
-    if (serving_) return;
-    serving_ = true;
-    c_failover_reissues_ =
-        comm_->telemetry().counter("query.failover.reissues");
-    c_failover_rerouted_ =
-        comm_->telemetry().counter("query.failover.rerouted");
-    c_failover_abandoned_ =
-        comm_->telemetry().counter("query.failover.abandoned");
-    c_failover_resubmitted_ =
-        comm_->telemetry().counter("query.failover.resubmitted");
-    c_degraded_ = comm_->telemetry().counter("query.degraded.completed");
-    c_hedges_ = comm_->telemetry().counter("query.hedge.sent");
-    t_replica_features_ = comm_->telemetry().mem_tag("mem.replica.features");
-    t_replica_rows_ = comm_->telemetry().mem_tag("mem.replica.rows");
-    register_serving_handlers();
-  }
-
-  [[nodiscard]] bool serving() const noexcept { return serving_; }
-
   /// Ships this rank's shard (features + adjacency rows) to its replica
-  /// successors. Call inside one phase on every rank after
-  /// configure_serving(); the quiescence barrier completes the exchange.
+  /// successors. Call inside one phase on every rank after attaching the
+  /// shards; the quiescence barrier completes the exchange.
   /// Features are re-inserted in home insertion order, so id_at() agrees
   /// across replicas and any replica answers a seed_req identically.
   void broadcast_shard_to_replicas() {
-    if (!serving_ || replica_map_.factor() <= 1) return;
+    if (replica_map_.factor() <= 1) return;
     std::vector<VertexId> point_ids;
     std::vector<T> point_values;
     if (points_ != nullptr) {
@@ -267,42 +237,19 @@ class QueryEngineRank {
       row_flat.insert(row_flat.end(), row.begin(), row.end());
     }
     for (int slot = 1; slot < replica_map_.factor(); ++slot) {
-      comm_->async(replica_map_.replica(comm_->rank(), slot), h_s_replicate_,
+      comm_->async(replica_map_.replica(comm_->rank(), slot), h_replicate_,
                    static_cast<std::uint32_t>(comm_->rank()), point_ids,
                    point_values, row_ids, row_lens, row_flat);
     }
   }
 
-  /// Starts one query with this rank as coordinator. Call inside a phase;
-  /// results are complete after the phase's barrier.
+  /// Starts one query with this rank as coordinator. Seeds are drawn
+  /// coordinator-side from a per-query rng (fork of params.seed by query
+  /// index), so the result does not depend on which rank coordinates or
+  /// which replica answers — the property that makes post-crash
+  /// resubmission bit-identical.
   void submit(std::uint64_t query_index, std::span<const T> query,
-              const SearchParams& params) {
-    const std::uint64_t qid = next_local_id_++;
-    ActiveQuery& state = active_[qid];
-    state.query_index = query_index;
-    state.vector.assign(query.begin(), query.end());
-    state.params = params;
-    state.best = NeighborList(params.num_neighbors);
-
-    comm_->telemetry().add(c_submitted_);
-    const std::size_t entries =
-        params.num_entry_points > 0 ? params.num_entry_points
-                                    : params.num_neighbors;
-    // Seed: ask `entries` weighted-random ranks for one random local
-    // point each. Owners may return duplicates; the merge dedups.
-    state.outstanding = entries;
-    for (std::size_t e = 0; e < entries; ++e) {
-      comm_->async(sample_weighted_rank(), h_seed_req_, qid,
-                   static_cast<std::uint32_t>(comm_->rank()), state.vector);
-    }
-  }
-
-  /// Serving-mode submit: seeds are drawn coordinator-side from a
-  /// per-query rng (fork of params.seed by query index), so the result
-  /// does not depend on which rank coordinates or which replica answers —
-  /// the property that makes post-crash resubmission bit-identical.
-  void submit_serving(std::uint64_t query_index, std::span<const T> query,
-                      const SearchParams& params, bool resubmitted = false) {
+              const SearchParams& params, bool resubmitted = false) {
     const std::uint64_t qid = next_local_id_++;
     ActiveQuery& state = active_[qid];
     state.query_index = query_index;
@@ -320,8 +267,7 @@ class QueryEngineRank {
     for (std::size_t e = 0; e < entries; ++e) {
       const ShardDraw draw = sample_live_weighted_shard(
           qrng, rank_weights_, total_weight_,
-          [this](int r) { return shard_alive(r); },
-          serving_config_.seed_redraw_limit);
+          [this](int r) { return shard_alive(r); }, kSeedRedrawLimit);
       if (draw.home < 0) {
         ++state.sub_failed;
         comm_->telemetry().add(c_failover_abandoned_);
@@ -338,13 +284,12 @@ class QueryEngineRank {
   }
 
   /// Records that `rank` crashed (failure detector verdict or direct
-  /// knowledge). Legacy seed sampling skips it from now on; in serving
-  /// mode every pending sub-request aimed at it fails over immediately.
+  /// knowledge): routing and seed draws skip it from now on, and every
+  /// pending sub-request aimed at it fails over immediately.
   void mark_rank_dead(int rank) {
     if (rank < 0 || static_cast<std::size_t>(rank) >= rank_dead_.size()) return;
     if (rank_dead_[static_cast<std::size_t>(rank)] != 0) return;
     rank_dead_[static_cast<std::size_t>(rank)] = 1;
-    if (!serving_) return;
     scratch_req_ids_.clear();
     for (const auto& [req_id, req] : pending_) {
       if (req.target == rank) scratch_req_ids_.push_back(req_id);
@@ -367,30 +312,23 @@ class QueryEngineRank {
     }
   }
 
-  [[nodiscard]] bool rank_presumed_dead(int rank) const noexcept {
-    return rank_dead_[static_cast<std::size_t>(rank)] != 0;
-  }
-
   /// One logical tick of the serving clock: drives hedging, per-request
   /// timeouts with capped re-issue, and the per-query deadline. The
   /// driver calls this once per polling round, so like the transport's
   /// retransmit clock it advances deterministically under the sequential
   /// driver.
-  void tick_serving() {
-    if (!serving_) return;
+  void tick() {
     ++serving_tick_;
     if (pending_.empty()) return;
     scratch_req_ids_.clear();
     for (auto& [req_id, req] : pending_) {
       const ActiveQuery& state = active_.at(req.qid);
-      if (serving_tick_ - state.started_tick >
-          serving_config_.query_deadline_ticks) {
+      if (serving_tick_ - state.started_tick > kQueryDeadlineTicks) {
         scratch_req_ids_.push_back(req_id);  // deadline: abandon
         continue;
       }
       const std::uint64_t waited = serving_tick_ - req.sent_tick;
-      if (!req.hedged && req.resends == 0 &&
-          waited > serving_config_.hedge_after_ticks) {
+      if (!req.hedged && req.resends == 0 && waited > kHedgeAfterTicks) {
         // One early duplicate to the next replica for stragglers. Same
         // req_id, so whichever reply lands first wins and the other is
         // dropped by the pending-map dedup.
@@ -407,7 +345,7 @@ class QueryEngineRank {
           scratch_req_ids_.push_back(req_id);  // every replica dead
           continue;
         }
-        if (req.resends < serving_config_.max_request_resends) {
+        if (req.resends < kMaxRequestResends) {
           ++req.resends;
           int slot = req.replica_slot + 1;
           const int target = pick_live_replica(req.home, slot, &slot);
@@ -417,8 +355,7 @@ class QueryEngineRank {
             req.replica_slot = slot;
             req.sent_tick = serving_tick_;
             req.timeout_ticks =
-                std::min(req.timeout_ticks * 2,
-                         serving_config_.request_timeout_ticks * 8);
+                std::min(req.timeout_ticks * 2, kRequestTimeoutTicks * 8);
             send_subrequest(req_id, req, target);
           }
         }
@@ -451,7 +388,6 @@ class QueryEngineRank {
     std::unordered_set<VertexId> expanded;   ///< row already fetched
     std::size_t outstanding = 0;  ///< replies pending before the next step
     std::uint64_t distance_evals = 0;
-    // Serving-mode bookkeeping (unused on the legacy path).
     std::uint64_t sub_ok = 0;      ///< sub-requests answered
     std::uint64_t sub_failed = 0;  ///< sub-requests abandoned (dead shard)
     std::uint64_t started_tick = 0;
@@ -481,34 +417,21 @@ class QueryEngineRank {
     bool hedged = false;
   };
 
-  int sample_weighted_rank() {
-    // Never seed from a rank the failure detector declared dead
-    // (satellite 1): a dead owner would strand the query's outstanding
-    // counter. When nothing is dead this consumes exactly the same rng
-    // stream as the original always-alive sampler.
-    if (total_weight_ == 0) {
-      for (std::size_t attempt = 0;
-           attempt <= serving_config_.seed_redraw_limit; ++attempt) {
-        const int r = static_cast<int>(
-            rng_.uniform_below(static_cast<std::uint64_t>(comm_->size())));
-        if (rank_dead_[static_cast<std::size_t>(r)] == 0) return r;
-      }
-      return first_live_rank();
-    }
-    const ShardDraw draw = sample_live_weighted_shard(
-        rng_, rank_weights_, total_weight_,
-        [this](int r) { return rank_dead_[static_cast<std::size_t>(r)] == 0; },
-        serving_config_.seed_redraw_limit);
-    if (draw.home >= 0) return draw.home;
-    return first_live_rank();
-  }
-
-  [[nodiscard]] int first_live_rank() const {
-    for (int r = 0; r < comm_->size(); ++r) {
-      if (rank_dead_[static_cast<std::size_t>(r)] == 0) return r;
-    }
-    return comm_->size() - 1;
-  }
+  // Timing thresholds, tuned against the simulated transport's tick clock:
+  // request timeouts well below the failure detector's 256-tick horizon so
+  // failover starts before the detector confirms the crash, and a query
+  // deadline that only fires as a last-resort liveness backstop.
+  /// Ticks a sub-request may wait before re-issue to the next replica.
+  static constexpr std::uint32_t kRequestTimeoutTicks = 96;
+  /// Ticks before a straggling first attempt gets one hedged duplicate.
+  static constexpr std::uint32_t kHedgeAfterTicks = 48;
+  /// Re-issues per sub-request before waiting on the failure detector.
+  static constexpr std::uint32_t kMaxRequestResends = 3;
+  /// Absolute per-query tick budget; expiry abandons remaining
+  /// sub-requests so the query completes degraded rather than hanging.
+  static constexpr std::uint64_t kQueryDeadlineTicks = std::uint64_t{1} << 20;
+  /// Redraw attempts when a seed draw lands on a dead shard.
+  static constexpr std::size_t kSeedRedrawLimit = 64;
 
   /// First live rank in `home`'s replica chain starting at `start_slot`
   /// (wrapping across all slots); -1 when every replica is dead.
@@ -544,7 +467,7 @@ class QueryEngineRank {
     req.target = target;
     req.replica_slot = slot;
     req.sent_tick = serving_tick_;
-    req.timeout_ticks = serving_config_.request_timeout_ticks;
+    req.timeout_ticks = kRequestTimeoutTicks;
     const std::uint64_t req_id = next_req_id_++;
     ++state.outstanding;
     send_subrequest(req_id, req, target);
@@ -559,15 +482,15 @@ class QueryEngineRank {
     const auto home = static_cast<std::uint32_t>(req.home);
     switch (req.kind) {
       case kSeedReq:
-        comm_->async(target, h_s_seed_req_, req.qid, req_id, coordinator, home,
+        comm_->async(target, h_seed_req_, req.qid, req_id, coordinator, home,
                      req.seed_index, state.vector);
         break;
       case kRowReq:
-        comm_->async(target, h_s_row_req_, req.qid, req_id, coordinator, home,
+        comm_->async(target, h_row_req_, req.qid, req_id, coordinator, home,
                      req.vertex);
         break;
       default:
-        comm_->async(target, h_s_eval_batch_, req.qid, req_id, coordinator,
+        comm_->async(target, h_eval_batch_, req.qid, req_id, coordinator,
                      home, state.vector, req.batch);
         break;
     }
@@ -590,13 +513,13 @@ class QueryEngineRank {
     complete_step_if_done(qid, state);
   }
 
-  /// Serving-mode candidate intake: replies from different shards (and
-  /// from failover re-sends) can interleave in any order, so candidates
-  /// are buffered per step and merged in canonical (distance, id) order
-  /// when the step's last reply lands. That makes the coordinator's state
-  /// a pure function of the step's reply *contents* — which replicas
-  /// answered, in what order, with what delays, all becomes invisible,
-  /// and a failover run stays bit-identical to the fault-free one.
+  /// Candidate intake: replies from different shards (and from failover
+  /// re-sends) can interleave in any order, so candidates are buffered
+  /// per step and merged in canonical (distance, id) order when the
+  /// step's last reply lands. That makes the coordinator's state a pure
+  /// function of the step's reply *contents* — which replicas answered,
+  /// in what order, with what delays, all becomes invisible, and a
+  /// failover run stays bit-identical to the fault-free one.
   void buffer_candidates(ActiveQuery& state, const std::vector<VertexId>& ids,
                          const std::vector<Dist>& dists) {
     for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -621,54 +544,14 @@ class QueryEngineRank {
       }
     }
     state.step_candidates.clear();
-    advance_serving(qid, state);
-  }
-
-  /// Merge one evaluated candidate into the query's heaps.
-  void merge_candidate(ActiveQuery& state, VertexId v, Dist d) {
-    ++state.distance_evals;
-    state.evaluated.insert(v);  // seeds arrive without a scatter step
-    const double slack = 1.0 + state.params.epsilon;
-    const Dist bound = state.best.furthest_distance();
-    if (static_cast<double>(d) < slack * static_cast<double>(bound)) {
-      state.frontier.emplace(d, v);
-      state.best.update(v, d, false);
-    }
+    advance(qid, state);
   }
 
   /// Called when all outstanding replies for a query arrived: expand the
-  /// next frontier vertex or finish.
+  /// next frontier vertex or finish. A vertex whose shard has no live
+  /// replica is *skipped* (counted failed) and the search continues over
+  /// what is reachable — graceful degradation, not an error.
   void advance(std::uint64_t qid, ActiveQuery& state) {
-    const double slack = 1.0 + state.params.epsilon;
-    while (!state.frontier.empty()) {
-      const auto [d, v] = state.frontier.top();
-      const Dist d_max = state.best.furthest_distance();
-      if (static_cast<double>(d) > slack * static_cast<double>(d_max)) break;
-      state.frontier.pop();
-      comm_->telemetry().add(c_frontier_pops_);
-      if (state.expanded.contains(v)) continue;
-      state.expanded.insert(v);
-      state.outstanding = 1;  // the row_reply
-      comm_->async(partition_.owner(v), h_row_req_, qid,
-                   static_cast<std::uint32_t>(comm_->rank()), v);
-      return;
-    }
-    // Done.
-    comm_->telemetry().add(c_completed_);
-    comm_->telemetry().record(h_evals_per_query_, state.distance_evals);
-    SearchResult result;
-    result.neighbors = state.best.sorted();
-    result.distance_evals = state.distance_evals;
-    result.visited = state.evaluated.size();
-    completed_.emplace(state.query_index, std::move(result));
-    active_.erase(qid);
-  }
-
-  /// Serving-mode advance: identical frontier discipline, but a vertex
-  /// whose shard has no live replica is *skipped* (counted failed) and
-  /// the search continues over what is reachable — graceful degradation,
-  /// not an error.
-  void advance_serving(std::uint64_t qid, ActiveQuery& state) {
     const double slack = 1.0 + state.params.epsilon;
     while (!state.frontier.empty()) {
       const auto [d, v] = state.frontier.top();
@@ -755,91 +638,15 @@ class QueryEngineRank {
     comm_->telemetry().add(c_distance_evals_, ids.size());
   }
 
+  /// Wire protocol. Every request carries (qid, req_id, coordinator,
+  /// home, payload); every reply carries (qid, req_id, data). The handler
+  /// resolves `home` against its own shard or a mirrored replica, so any
+  /// rank in the replica chain serves the same bytes. Replies dedup
+  /// coordinator-side by req_id: late answers after a reroute and the
+  /// losing half of a hedged pair both drop on the pending-map miss.
   void register_handlers() {
     h_seed_req_ = comm_->register_handler(
         "q_seed_req", [this](int, serial::InArchive& ar) {
-          const auto qid = ar.read<std::uint64_t>();
-          const auto coordinator = ar.read<std::uint32_t>();
-          ar.read_into(scratch_);
-          // Evaluate one random local point against the query.
-          std::vector<std::pair<VertexId, Dist>> pairs;
-          if (points_ != nullptr && !points_->empty()) {
-            const VertexId u =
-                points_->id_at(rng_.uniform_below(points_->size()));
-            pairs.emplace_back(
-                u, distance_(std::span<const T>(scratch_), (*points_)[u]));
-            comm_->telemetry().add(c_distance_evals_);
-          }
-          send_eval_reply(static_cast<int>(coordinator), qid, pairs);
-        });
-    h_row_req_ = comm_->register_handler(
-        "q_row_req", [this](int, serial::InArchive& ar) {
-          const auto qid = ar.read<std::uint64_t>();
-          const auto coordinator = ar.read<std::uint32_t>();
-          const auto v = ar.read<VertexId>();
-          std::vector<VertexId> ids;
-          const auto it = rows_.find(v);
-          if (it != rows_.end()) {
-            ids.reserve(it->second.size());
-            for (const Neighbor& n : it->second) ids.push_back(n.id);
-          }
-          comm_->async(static_cast<int>(coordinator), h_row_reply_, qid, ids);
-        });
-    h_row_reply_ = comm_->register_handler(
-        "q_row_reply", [this](int, serial::InArchive& ar) {
-          const auto qid = ar.read<std::uint64_t>();
-          const auto ids = ar.read_vector<VertexId>();
-          auto& state = active_.at(qid);
-          --state.outstanding;
-          // Filter visited, group by owner, scatter evaluation batches.
-          std::unordered_map<int, std::vector<VertexId>> by_owner;
-          for (const VertexId w : ids) {
-            if (state.evaluated.contains(w)) continue;
-            state.evaluated.insert(w);
-            by_owner[partition_.owner(w)].push_back(w);
-          }
-          state.outstanding += by_owner.size();
-          for (auto& [owner, batch] : by_owner) {
-            comm_->async(owner, h_eval_batch_, qid,
-                         static_cast<std::uint32_t>(comm_->rank()),
-                         state.vector, batch);
-          }
-          if (state.outstanding == 0) advance(qid, state);
-        });
-    h_eval_batch_ = comm_->register_handler(
-        "q_eval_batch", [this](int, serial::InArchive& ar) {
-          const auto qid = ar.read<std::uint64_t>();
-          const auto coordinator = ar.read<std::uint32_t>();
-          ar.read_into(scratch_);
-          const auto ids = ar.read_vector<VertexId>();
-          std::vector<std::pair<VertexId, Dist>> pairs;
-          evaluate_ids(*points_, ids, pairs);
-          send_eval_reply(static_cast<int>(coordinator), qid, pairs);
-        });
-    h_eval_reply_ = comm_->register_handler(
-        "q_eval_reply", [this](int, serial::InArchive& ar) {
-          const auto qid = ar.read<std::uint64_t>();
-          const auto ids = ar.read_vector<VertexId>();
-          const auto dists = ar.read_vector<Dist>();
-          auto& state = active_.at(qid);
-          for (std::size_t i = 0; i < ids.size(); ++i) {
-            merge_candidate(state, ids[i], dists[i]);
-          }
-          --state.outstanding;
-          if (state.outstanding == 0) advance(qid, state);
-        });
-  }
-
-  /// Serving wire protocol. Every request carries (qid, req_id,
-  /// coordinator, home, payload); every reply carries (qid, req_id,
-  /// data). The handler resolves `home` against its own shard or a
-  /// mirrored replica, so any rank in the replica chain serves the same
-  /// bytes. Replies dedup coordinator-side by req_id: late answers after
-  /// a reroute and the losing half of a hedged pair both drop on the
-  /// pending-map miss.
-  void register_serving_handlers() {
-    h_s_seed_req_ = comm_->register_handler(
-        "qs_seed_req", [this](int, serial::InArchive& ar) {
           const auto qid = ar.read<std::uint64_t>();
           const auto req_id = ar.read<std::uint64_t>();
           const auto coordinator = ar.read<std::uint32_t>();
@@ -859,11 +666,11 @@ class QueryEngineRank {
                 distance_(std::span<const T>(scratch_), (*store)[u]));
             comm_->telemetry().add(c_distance_evals_);
           }
-          comm_->async(static_cast<int>(coordinator), h_s_eval_reply_, qid,
+          comm_->async(static_cast<int>(coordinator), h_eval_reply_, qid,
                        req_id, ids, dists);
         });
-    h_s_row_req_ = comm_->register_handler(
-        "qs_row_req", [this](int, serial::InArchive& ar) {
+    h_row_req_ = comm_->register_handler(
+        "q_row_req", [this](int, serial::InArchive& ar) {
           const auto qid = ar.read<std::uint64_t>();
           const auto req_id = ar.read<std::uint64_t>();
           const auto coordinator = ar.read<std::uint32_t>();
@@ -878,11 +685,11 @@ class QueryEngineRank {
               for (const Neighbor& n : it->second) ids.push_back(n.id);
             }
           }
-          comm_->async(static_cast<int>(coordinator), h_s_row_reply_, qid,
+          comm_->async(static_cast<int>(coordinator), h_row_reply_, qid,
                        req_id, ids);
         });
-    h_s_eval_batch_ = comm_->register_handler(
-        "qs_eval_batch", [this](int, serial::InArchive& ar) {
+    h_eval_batch_ = comm_->register_handler(
+        "q_eval_batch", [this](int, serial::InArchive& ar) {
           const auto qid = ar.read<std::uint64_t>();
           const auto req_id = ar.read<std::uint64_t>();
           const auto coordinator = ar.read<std::uint32_t>();
@@ -900,11 +707,11 @@ class QueryEngineRank {
             out_ids.push_back(w);
             out_dists.push_back(d);
           }
-          comm_->async(static_cast<int>(coordinator), h_s_eval_reply_, qid,
+          comm_->async(static_cast<int>(coordinator), h_eval_reply_, qid,
                        req_id, out_ids, out_dists);
         });
-    h_s_row_reply_ = comm_->register_handler(
-        "qs_row_reply", [this](int, serial::InArchive& ar) {
+    h_row_reply_ = comm_->register_handler(
+        "q_row_reply", [this](int, serial::InArchive& ar) {
           const auto qid = ar.read<std::uint64_t>();
           const auto req_id = ar.read<std::uint64_t>();
           const auto ids = ar.read_vector<VertexId>();
@@ -930,8 +737,8 @@ class QueryEngineRank {
           }
           complete_step_if_done(qid, state);
         });
-    h_s_eval_reply_ = comm_->register_handler(
-        "qs_eval_reply", [this](int, serial::InArchive& ar) {
+    h_eval_reply_ = comm_->register_handler(
+        "q_eval_reply", [this](int, serial::InArchive& ar) {
           const auto qid = ar.read<std::uint64_t>();
           const auto req_id = ar.read<std::uint64_t>();
           const auto ids = ar.read_vector<VertexId>();
@@ -945,7 +752,7 @@ class QueryEngineRank {
           --state.outstanding;
           complete_step_if_done(qid, state);
         });
-    h_s_replicate_ = comm_->register_handler(
+    h_replicate_ = comm_->register_handler(
         "q_replicate", [this](int, serial::InArchive& ar) {
           const auto home = static_cast<int>(ar.read<std::uint32_t>());
           const auto point_ids = ar.read_vector<VertexId>();
@@ -982,19 +789,6 @@ class QueryEngineRank {
         });
   }
 
-  void send_eval_reply(int coordinator, std::uint64_t qid,
-                       const std::vector<std::pair<VertexId, Dist>>& pairs) {
-    std::vector<VertexId> ids;
-    std::vector<Dist> dists;
-    ids.reserve(pairs.size());
-    dists.reserve(pairs.size());
-    for (const auto& [w, d] : pairs) {
-      ids.push_back(w);
-      dists.push_back(d);
-    }
-    comm_->async(coordinator, h_eval_reply_, qid, ids, dists);
-  }
-
   /// Grain for handler-side batched-eval tasks (fixed: the task count
   /// must not depend on the thread count).
   static constexpr std::size_t kEvalGrain = 16;
@@ -1002,7 +796,6 @@ class QueryEngineRank {
   comm::Communicator* comm_;
   DistanceFn distance_;
   Partition partition_;
-  util::Xoshiro256 rng_;
   ThreadPool pool_;
 
   std::unordered_map<VertexId, std::vector<Neighbor>> rows_;
@@ -1016,9 +809,6 @@ class QueryEngineRank {
   std::unordered_map<std::uint64_t, SearchResult> completed_;
   std::vector<T> scratch_;
 
-  // -- serving state (inert until configure_serving()) -------------------
-  bool serving_ = false;
-  ServingConfig serving_config_;
   ReplicaMap replica_map_;
   std::vector<char> rank_dead_;  ///< local liveness verdicts
   std::uint64_t serving_tick_ = 0;
@@ -1030,10 +820,8 @@ class QueryEngineRank {
   std::unordered_map<int, std::unordered_map<VertexId, std::vector<Neighbor>>>
       replica_rows_;
 
-  comm::HandlerId h_seed_req_ = 0, h_row_req_ = 0, h_row_reply_ = 0;
-  comm::HandlerId h_eval_batch_ = 0, h_eval_reply_ = 0;
-  comm::HandlerId h_s_seed_req_ = 0, h_s_row_req_ = 0, h_s_eval_batch_ = 0;
-  comm::HandlerId h_s_row_reply_ = 0, h_s_eval_reply_ = 0, h_s_replicate_ = 0;
+  comm::HandlerId h_seed_req_ = 0, h_row_req_ = 0, h_eval_batch_ = 0;
+  comm::HandlerId h_row_reply_ = 0, h_eval_reply_ = 0, h_replicate_ = 0;
 
   telemetry::MetricId c_submitted_ = 0, c_completed_ = 0;
   telemetry::MetricId c_frontier_pops_ = 0, c_distance_evals_ = 0;
@@ -1046,21 +834,23 @@ class QueryEngineRank {
   telemetry::MemTag t_replica_rows_;
 };
 
-/// Front-end: binds per-rank query engines to a built DnndRunner and runs
-/// query batches to completion.
+/// Front-end: binds per-rank query engines to the shards (of a built
+/// DnndRunner, or of a finished graph) and runs query batches to
+/// completion.
 template <typename T, typename DistanceFn>
 class DistributedQueryService {
  public:
   DistributedQueryService(comm::Environment& env,
                           DnndRunner<T, DistanceFn>& runner,
-                          DistanceFn distance)
+                          DistanceFn distance, const ServingConfig& config = {})
       : env_(&env) {
+    const ReplicaMap replica_map(env.num_ranks(), config.replication_factor);
     ranks_.reserve(static_cast<std::size_t>(env.num_ranks()));
     const std::size_t threads =
         resolve_threads(runner.config().threads_per_rank);
     for (int r = 0; r < env.num_ranks(); ++r) {
       ranks_.push_back(std::make_unique<QueryEngineRank<T, DistanceFn>>(
-          env.comm(r), distance, runner.partition(), threads));
+          env.comm(r), distance, runner.partition(), replica_map, threads));
     }
     std::vector<std::uint64_t> counts;
     counts.reserve(ranks_.size());
@@ -1069,15 +859,7 @@ class DistributedQueryService {
       counts.push_back(runner.engine(r).local_point_count());
     }
     for (auto& rank : ranks_) rank->set_rank_weights(counts);
-  }
-
-  /// Serving-mode variant of the runner-backed constructor: same engines
-  /// plus the replicated failover protocol.
-  DistributedQueryService(comm::Environment& env,
-                          DnndRunner<T, DistanceFn>& runner,
-                          DistanceFn distance, const ServingConfig& config)
-      : DistributedQueryService(env, runner, std::move(distance)) {
-    configure_serving_all(config);
+    replicate_shards(replica_map);
   }
 
   /// Serving from a finished graph + feature set (no DnndRunner needed):
@@ -1104,22 +886,22 @@ class DistributedQueryService {
       rows[static_cast<std::size_t>(partition.owner(v))].emplace(
           v, std::vector<Neighbor>(row.begin(), row.end()));
     }
+    const ReplicaMap replica_map(env.num_ranks(), config.replication_factor);
     ranks_.reserve(nranks);
     std::vector<std::uint64_t> counts;
     counts.reserve(nranks);
     for (int r = 0; r < env.num_ranks(); ++r) {
       counts.push_back(stores[static_cast<std::size_t>(r)].size());
       ranks_.push_back(std::make_unique<QueryEngineRank<T, DistanceFn>>(
-          env.comm(r), distance, partition, resolve_threads(threads)));
+          env.comm(r), distance, partition, replica_map,
+          resolve_threads(threads)));
       ranks_.back()->attach_shard(
           std::move(rows[static_cast<std::size_t>(r)]),
           std::move(stores[static_cast<std::size_t>(r)]));
     }
     for (auto& rank : ranks_) rank->set_rank_weights(counts);
-    configure_serving_all(config);
+    replicate_shards(replica_map);
   }
-
-  [[nodiscard]] bool serving() const noexcept { return serving_; }
 
   /// Rank failures observed during run(); cleared at each run() start.
   [[nodiscard]] const std::vector<RankFailureInfo>& rank_failures()
@@ -1133,51 +915,14 @@ class DistributedQueryService {
 
   /// Runs all queries; queries are assigned to coordinator ranks
   /// round-robin. Results are indexed like `queries`.
+  ///
+  /// execute_phase's quiescence barrier cannot drive this: a crash
+  /// strands submitted-counter debt by design, so the world never goes
+  /// quiescent again. Instead the service polls every live rank
+  /// round-robin — flush, deliver, detect, tick — translating detector
+  /// verdicts into protocol-level failover, until every query completed
+  /// (possibly degraded) or every rank died.
   [[nodiscard]] std::vector<SearchResult> run(
-      const FeatureStore<T>& queries, const SearchParams& params) {
-    if (serving_) return run_serving(queries, params);
-    for (auto& rank : ranks_) rank->completed().clear();
-    const int nranks = env_->num_ranks();
-    env_->execute_phase([&](int r) {
-      const auto span = env_->telemetry(r).span("query_batch", "query");
-      for (std::size_t qi = static_cast<std::size_t>(r); qi < queries.size();
-           qi += static_cast<std::size_t>(nranks)) {
-        ranks_[static_cast<std::size_t>(r)]->submit(qi, queries.row(qi),
-                                                    params);
-      }
-    });
-    // The barrier above ran every query to completion: collect.
-    std::vector<SearchResult> results(queries.size());
-    for (auto& rank : ranks_) {
-      for (auto& [qi, result] : rank->completed()) {
-        results[qi] = std::move(result);
-      }
-    }
-    return results;
-  }
-
- private:
-  /// Switches every engine into serving mode and, when the factor is
-  /// above 1, runs the replication exchange under one quiescence barrier.
-  void configure_serving_all(const ServingConfig& config) {
-    serving_ = true;
-    serving_config_ = config;
-    replica_map_ = ReplicaMap(env_->num_ranks(), config.replication_factor);
-    for (auto& rank : ranks_) rank->configure_serving(config, replica_map_);
-    if (replica_map_.factor() > 1) {
-      env_->execute_phase([&](int r) {
-        ranks_[static_cast<std::size_t>(r)]->broadcast_shard_to_replicas();
-      });
-    }
-  }
-
-  /// Serving-mode run loop. execute_phase's quiescence barrier cannot
-  /// drive this: a crash strands submitted-counter debt by design, so the
-  /// world never goes quiescent again. Instead the service polls every
-  /// live rank round-robin — flush, deliver, detect, tick — translating
-  /// detector verdicts into protocol-level failover, until every query
-  /// completed (possibly degraded) or every rank died.
-  [[nodiscard]] std::vector<SearchResult> run_serving(
       const FeatureStore<T>& queries, const SearchParams& params) {
     for (auto& rank : ranks_) rank->completed().clear();
     rank_failures_.clear();
@@ -1221,8 +966,8 @@ class DistributedQueryService {
         if (engine(dead).completed().count(qi) != 0) continue;  // already done
         const int next = live[qi % live.size()];
         coordinator[qi] = next;
-        engine(next).submit_serving(qi, queries.row(qi), params,
-                                    /*resubmitted=*/true);
+        engine(next).submit(qi, queries.row(qi), params,
+                            /*resubmitted=*/true);
       }
     };
 
@@ -1233,7 +978,7 @@ class DistributedQueryService {
       const auto span = env_->telemetry(r).span("query_batch", "query");
       for (std::size_t qi = static_cast<std::size_t>(r); qi < queries.size();
            qi += static_cast<std::size_t>(nranks)) {
-        engine(r).submit_serving(qi, queries.row(qi), params);
+        engine(r).submit(qi, queries.row(qi), params);
       }
     }
 
@@ -1292,7 +1037,7 @@ class DistributedQueryService {
       for (int r = 0; r < nranks; ++r) {
         if (presumed_dead[static_cast<std::size_t>(r)] != 0) continue;
         if (!world.alive(r)) continue;
-        engine(r).tick_serving();
+        engine(r).tick();
       }
     }
 
@@ -1317,11 +1062,17 @@ class DistributedQueryService {
     return results;
   }
 
+ private:
+  /// Mirrors every shard onto its replicas under one quiescence barrier.
+  void replicate_shards(const ReplicaMap& replica_map) {
+    if (replica_map.factor() <= 1) return;
+    env_->execute_phase([&](int r) {
+      ranks_[static_cast<std::size_t>(r)]->broadcast_shard_to_replicas();
+    });
+  }
+
   comm::Environment* env_;
   std::vector<std::unique_ptr<QueryEngineRank<T, DistanceFn>>> ranks_;
-  bool serving_ = false;
-  ServingConfig serving_config_;
-  ReplicaMap replica_map_;
   std::vector<RankFailureInfo> rank_failures_;
 };
 

@@ -203,7 +203,7 @@ class DnndEngine {
       const VertexId v = pending_init_.back();
       while (pending_emitted_ < config_.k) {
         if (emitted >= quota) return false;
-        const int dest = sample_weighted_rank();
+        const int dest = weighted_random_rank();
         const auto feature = points_[v];
         comm_->async(dest, h_init_sample_, v,
                      std::vector<T>(feature.begin(), feature.end()));
@@ -574,7 +574,7 @@ class DnndEngine {
 
   /// Rank index ~ P(rank) ∝ live point count; falls back to uniform when
   /// weights were not provided.
-  int sample_weighted_rank() {
+  int weighted_random_rank() {
     if (total_weight_ == 0) {
       return static_cast<int>(rng_.uniform_below(
           static_cast<std::uint64_t>(comm_->size())));

@@ -393,7 +393,7 @@ const core::FeatureStore<float>& serving_queries() {
   return queries;
 }
 
-std::vector<core::SearchResult> run_serving_queries(FaultPlan plan) {
+std::vector<core::SearchResult> serve_queries(FaultPlan plan) {
   Config cfg{.num_ranks = kRanks};
   cfg.fault_plan = std::move(plan);
   Environment env(cfg);
@@ -422,8 +422,8 @@ TEST_P(ServingQueryChaos, AnswersAreBitIdenticalUnderMessageFaults) {
 
   FaultPlan plan = named.plan;
   plan.seed = mix_seed(31, GetParam());
-  const auto faulty = run_serving_queries(std::move(plan));
-  const auto clean = run_serving_queries(FaultPlan{});
+  const auto faulty = serve_queries(std::move(plan));
+  const auto clean = serve_queries(FaultPlan{});
 
   ASSERT_EQ(faulty.size(), clean.size());
   for (std::size_t qi = 0; qi < faulty.size(); ++qi) {

@@ -215,6 +215,28 @@ TEST(DistributedQuery, WorksAfterDynamicUpdates) {
   EXPECT_GT(core::mean_query_recall(computed, truth, 10), 0.8);
 }
 
+TEST(DistributedQuery, RepeatedRunsAnswerIdentically) {
+  // Seeds come from a per-query rng, not from rank state that advances
+  // from batch to batch, so one service answers the same batch the same
+  // way every time: the neighbors and the work spent finding them.
+  const auto w = make_workload();
+  comm::Environment env(comm::Config{.num_ranks = 4});
+  core::DnndConfig cfg;
+  cfg.k = 10;
+  core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
+  runner.distribute(w.base);
+  runner.build();
+  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
+  const auto first = service.run(w.queries, default_params());
+  const auto second = service.run(w.queries, default_params());
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t qi = 0; qi < first.size(); ++qi) {
+    EXPECT_EQ(first[qi].neighbors, second[qi].neighbors) << "query " << qi;
+    EXPECT_EQ(first[qi].distance_evals, second[qi].distance_evals)
+        << "query " << qi;
+  }
+}
+
 TEST(DistributedQuery, EmptyQueryBatch) {
   const auto w = make_workload(100, 0);
   comm::Environment env(comm::Config{.num_ranks = 2});

@@ -12,11 +12,12 @@
 //   3. with a whole shard dead (rf=1 + crash), every query still
 //      completes — degraded, with coverage < 1 reported explicitly, and
 //      the run never hangs and never throws;
-//   4. hedged duplicates are bit-transparent: a config that hedges
-//      aggressively returns the same bytes as one that never hedges;
-//   5. the legacy (non-serving) path is untouched: no serving handlers,
-//      no failover counters in its metrics export, and dead-rank-aware
-//      seed sampling consumes the same rng stream when nothing is dead.
+//   4. hedged duplicates are bit-transparent: rf=2 under heavy message
+//      loss, where stragglers get hedged, returns the same bytes as the
+//      fault-free rf=1 run;
+//   5. a rank every engine declared dead receives no sub-request, and
+//      dead-rank-aware seed sampling consumes the same rng stream when
+//      nothing is dead.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +28,6 @@
 #include "comm/environment.hpp"
 #include "core/distance.hpp"
 #include "core/distributed_query.hpp"
-#include "core/dnnd_runner.hpp"
 #include "core/recall.hpp"
 #include "data/synthetic.hpp"
 #include "mpi/fault_injector.hpp"
@@ -44,6 +44,7 @@ using core::SearchParams;
 using core::SearchResult;
 using core::ServingConfig;
 using mpi::CrashFault;
+using mpi::EdgePolicy;
 using mpi::FaultPlan;
 
 struct L2Fn {
@@ -92,7 +93,7 @@ SearchParams serving_params() {
 }
 
 /// Runs the serving service over the exact graph under `plan`.
-std::vector<SearchResult> run_serving(const ServingConfig& serving,
+std::vector<SearchResult> run_queries(const ServingConfig& serving,
                                       FaultPlan plan) {
   Config cfg{.num_ranks = kRanks};
   cfg.fault_plan = std::move(plan);
@@ -210,33 +211,39 @@ TEST(SeedSampling, AllDeadReturnsNoShard) {
   EXPECT_EQ(draw.home, -1);
 }
 
-TEST(SeedSampling, LegacyEngineNeverSeedsFromADeclaredDeadRank) {
-  // Legacy (non-serving) service; every rank has declared rank 3 dead.
-  // Seed requests must route around it — the query still completes
-  // because only *seeding* consults liveness on this path.
-  const Workload& w = workload();
+TEST(SeedSampling, NeverRoutesToADeclaredDeadRank) {
+  // Every engine declares rank 3 dead, though it never crashed. With rf=2
+  // shard 3 also lives on rank 0, so routing around rank 3 loses nothing:
+  // answers match the rf=2 reference at full coverage, and no seed, row
+  // or eval request ever reaches rank 3.
+  ServingConfig rf2;
+  rf2.replication_factor = 2;
+  const auto reference = run_queries(rf2, FaultPlan{});
+
   Environment env(Config{.num_ranks = kRanks});
-  core::DnndConfig cfg;
-  cfg.k = kK;
-  core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
-  runner.distribute(w.base);
-  runner.build();
-  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
+  const Workload& w = workload();
+  core::DistributedQueryService<float, L2Fn> service(
+      env, w.graph, w.base, L2Fn{}, rf2, /*threads=*/1);
   for (int r = 0; r < kRanks; ++r) service.engine_rank(r).mark_rank_dead(3);
   const auto results = service.run(w.queries, serving_params());
-  ASSERT_EQ(results.size(), kQ);
-  for (const auto& r : results) EXPECT_EQ(r.neighbors.size(), kK);
+
+  expect_bit_identical(results, reference);
+  for (const auto& r : results) EXPECT_DOUBLE_EQ(r.coverage, 1.0);
   if constexpr (telemetry::kEnabled) {
-    EXPECT_EQ(env.telemetry(3).metrics().counter_value("comm.recv.q_seed_req"),
-              0u)
-        << "a seed request reached the rank everyone declared dead";
+    for (const char* name : {"comm.recv.q_seed_req", "comm.recv.q_row_req",
+                             "comm.recv.q_eval_batch"}) {
+      EXPECT_EQ(env.telemetry(3).metrics().counter_value(name), 0u)
+          << name << ": a request reached the rank everyone declared dead";
+    }
+    EXPECT_GT(env.aggregate_metrics().counter_value("comm.recv.q_seed_req"),
+              0u);
   }
 }
 
 // -- fault-free serving: replication is invisible ------------------------
 
 TEST(ServingChaos, FaultFreeServesWithFullCoverage) {
-  const auto results = run_serving(ServingConfig{}, FaultPlan{});
+  const auto results = run_queries(ServingConfig{}, FaultPlan{});
   ASSERT_EQ(results.size(), kQ);
   for (const auto& r : results) {
     EXPECT_DOUBLE_EQ(r.coverage, 1.0);
@@ -247,20 +254,33 @@ TEST(ServingChaos, FaultFreeServesWithFullCoverage) {
 }
 
 TEST(ServingChaos, ReplicationFactorTwoIsBitIdenticalFaultFree) {
-  const auto rf1 = run_serving(ServingConfig{}, FaultPlan{});
+  const auto rf1 = run_queries(ServingConfig{}, FaultPlan{});
   ServingConfig rf2;
   rf2.replication_factor = 2;
-  const auto replicated = run_serving(rf2, FaultPlan{});
+  const auto replicated = run_queries(rf2, FaultPlan{});
   expect_bit_identical(replicated, rf1);
 }
 
 TEST(ServingChaos, AggressiveHedgingIsBitTransparent) {
-  const auto reference = run_serving(ServingConfig{}, FaultPlan{});
-  ServingConfig hedgy;
-  hedgy.replication_factor = 2;
-  hedgy.hedge_after_ticks = 0;  // hedge at the first tick a reply is late
-  const auto hedged = run_serving(hedgy, FaultPlan{});
+  // Losing a quarter of all datagrams stalls first attempts behind
+  // retransmits past the hedge threshold, so rf=2 sends many hedged
+  // duplicates to the second replica. Whichever copy answers first wins;
+  // the bytes must match the fault-free rf=1 run.
+  const auto reference = run_queries(ServingConfig{}, FaultPlan{});
+  ServingConfig rf2;
+  rf2.replication_factor = 2;
+  Config cfg{.num_ranks = kRanks};
+  cfg.fault_plan.defaults = EdgePolicy{.drop = 0.25};
+  Environment env(cfg);
+  const Workload& w = workload();
+  core::DistributedQueryService<float, L2Fn> service(
+      env, w.graph, w.base, L2Fn{}, rf2, /*threads=*/1);
+  const auto hedged = service.run(w.queries, serving_params());
+
   expect_bit_identical(hedged, reference);
+  if constexpr (telemetry::kEnabled) {
+    EXPECT_GT(env.aggregate_metrics().counter_value("query.hedge.sent"), 0u);
+  }
 }
 
 // -- the acceptance case: one replica of every shard killed mid-stream ---
@@ -268,7 +288,7 @@ TEST(ServingChaos, AggressiveHedgingIsBitTransparent) {
 TEST(ServingChaos, KilledReplicasAreInvisibleWithRf2) {
   ServingConfig rf2;
   rf2.replication_factor = 2;
-  const auto reference = run_serving(rf2, FaultPlan{});
+  const auto reference = run_queries(rf2, FaultPlan{});
 
   // Ranks 1 and 3 die during the query epoch. Under chained-successor
   // placement with rf=2 every shard keeps one live replica:
@@ -391,34 +411,6 @@ TEST(ServingChaos, Rf2SurvivesOneDeathThenDegradesOnSecond) {
   }
   EXPECT_GT(degraded, 0u);
   EXPECT_GT(recall_of(results), 0.4);
-}
-
-// -- legacy path stays byte-identical ------------------------------------
-
-TEST(ServingChaos, LegacyServiceRegistersNoServingState) {
-  const Workload& w = workload();
-  Environment env(Config{.num_ranks = kRanks});
-  core::DnndConfig cfg;
-  cfg.k = kK;
-  core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
-  runner.distribute(w.base);
-  runner.build();
-  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
-  EXPECT_FALSE(service.serving());
-  const auto results = service.run(w.queries, serving_params());
-  ASSERT_EQ(results.size(), kQ);
-  if constexpr (telemetry::kEnabled) {
-    const auto metrics = env.aggregate_metrics();
-    // Lazily registered serving machinery must be absent: same metric
-    // names, same handler recv counters, same bytes as the pre-serving
-    // build (the committed metrics baseline depends on this).
-    EXPECT_FALSE(metrics.contains("query.failover.reissues"));
-    EXPECT_FALSE(metrics.contains("query.degraded.completed"));
-    EXPECT_FALSE(metrics.contains("query.hedge.sent"));
-    EXPECT_FALSE(metrics.contains("comm.recv.qs_seed_req"));
-    EXPECT_FALSE(metrics.contains("comm.recv.q_replicate"));
-    EXPECT_FALSE(metrics.contains("mem.replica.features"));
-  }
 }
 
 }  // namespace
