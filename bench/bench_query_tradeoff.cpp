@@ -7,7 +7,7 @@
 //
 // Here: identical sweeps on the DEEP1B and BigANN stand-ins. Each line of
 // output is one data point of one curve (dataset, index, knob, recall,
-// QPS, mean distance evals per query). QPS is single-core, so absolute
+// QPS, mean distance evals per query). QPS is single-threaded, so absolute
 // numbers are small; curve shapes and orderings are the reproduced result.
 #include "common.hpp"
 
@@ -34,7 +34,7 @@ void sweep_dnnd(const char* dataset, const char* label, std::size_t k,
   core::GraphSearcher searcher(graph, base, fn);
 
   // The paper sweeps epsilon 0 and 0.1..0.4 in steps of 0.025; a coarser
-  // grid keeps single-core run time sane while tracing the same curve.
+  // grid keeps the single-threaded run short while tracing the same curve.
   for (const double epsilon : {0.0, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4}) {
     core::SearchParams params;
     params.num_neighbors = kTop;

@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
     for (const auto driver :
          {comm::DriverKind::kSequential, comm::DriverKind::kThreaded}) {
       // The threaded driver exists to validate thread-safety of engine
-      // code; on a single-core host it adds no speed. Run it only once.
+      // code, not to add speed: the sim-units columns are the scaling
+      // result. Run it only once.
       if (driver == comm::DriverKind::kThreaded && ranks != 8) continue;
 
       comm::Environment env(comm::Config{.num_ranks = ranks, .driver = driver});

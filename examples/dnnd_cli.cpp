@@ -274,6 +274,16 @@ int build_typed(const core::FeatureStore<T>& base, const std::string& store,
   return 0;
 }
 
+/// Parses all of `text` as a base-10 integer of `out`'s type. False for
+/// empty text, a non-digit anywhere (trailing junk included) or a value
+/// out of range, so a mistyped flag is rejected rather than read as 0.
+template <typename Int>
+bool parse_whole_number(std::string_view text, Int& out) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
 int cmd_build(int argc, char** argv) {
   // Positional args first ([base store k ranks]), then --flag [value].
   std::vector<std::string> positional;
@@ -281,13 +291,25 @@ int cmd_build(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--checkpoint-every" && i + 1 < argc) {
-      opts.checkpoint_every = static_cast<std::size_t>(std::atoll(argv[++i]));
+      if (!parse_whole_number(argv[++i], opts.checkpoint_every)) {
+        std::fprintf(stderr,
+                     "build: --checkpoint-every wants an iteration count "
+                     ">= 0, got %s\n",
+                     argv[i]);
+        return 2;
+      }
     } else if (arg == "--checkpoint-dir" && i + 1 < argc) {
       opts.checkpoint_dir = argv[++i];
     } else if (arg == "--resume") {
       opts.resume = true;
     } else if (arg == "--threads" && i + 1 < argc) {
-      opts.threads = static_cast<std::size_t>(std::atoll(argv[++i]));
+      // The range resolve_threads() accepts from DNND_THREADS_PER_RANK.
+      if (!parse_whole_number(argv[++i], opts.threads) || opts.threads > 256) {
+        std::fprintf(stderr,
+                     "build: --threads wants a count in 0..256, got %s\n",
+                     argv[i]);
+        return 2;
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "build: unknown flag %s\n", arg.c_str());
       return 2;
@@ -301,12 +323,20 @@ int cmd_build(int argc, char** argv) {
   }
   const std::string& base_file = positional[0];
   const std::string& store = positional[1];
-  const std::size_t k =
-      positional.size() > 2
-          ? static_cast<std::size_t>(std::atoll(positional[2].c_str()))
-          : 10;
-  const int ranks =
-      positional.size() > 3 ? std::atoi(positional[3].c_str()) : 8;
+  std::size_t k = 10;
+  if (positional.size() > 2 &&
+      (!parse_whole_number(positional[2], k) || k < 1)) {
+    std::fprintf(stderr, "build: [k] wants a neighbor count >= 1, got %s\n",
+                 positional[2].c_str());
+    return 2;
+  }
+  int ranks = 8;
+  if (positional.size() > 3 &&
+      (!parse_whole_number(positional[3], ranks) || ranks < 1)) {
+    std::fprintf(stderr, "build: [ranks] wants a rank count >= 1, got %s\n",
+                 positional[3].c_str());
+    return 2;
+  }
 
   if (is_u8_file(base_file)) {
     const auto base = ends_with(base_file, ".bvecs")
@@ -424,16 +454,6 @@ int serve_typed(pmem::Manager& mgr, const std::string& store,
                        store + ".query.trace.json",
                        store + ".query.timeseries.json");
   return 0;
-}
-
-/// Parses all of `text` as a base-10 integer of `out`'s type. False for
-/// empty text, a non-digit anywhere (trailing junk included) or a value
-/// out of range, so a mistyped flag is rejected rather than read as 0.
-template <typename Int>
-bool parse_whole_number(std::string_view text, Int& out) {
-  const char* const end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && ptr == end;
 }
 
 template <typename T, typename Fn>

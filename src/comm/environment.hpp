@@ -13,15 +13,15 @@
 //     termination-detecting barrier; validates that engine code has no
 //     hidden shared-memory dependencies between ranks.
 //
-// Collectives (reductions) are driver-level: execute_phase returns the
-// per-rank values produced by the phase function and the caller reduces
-// them, which keeps engine code free of blocking calls.
+// Reductions are messages, not driver calls: a phase body contributes its
+// value through comm::Collectives (comm/collectives.hpp), and after the
+// phase's barrier every rank reads the same result — so engine code stays
+// free of blocking calls.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include <iosfwd>
@@ -102,22 +102,6 @@ class Environment {
   /// Runs `fn(rank)` on every rank, then processes messages to global
   /// quiescence (the barrier).
   void execute_phase(const std::function<void(int)>& fn);
-
-  /// Like execute_phase but collects one value per rank.
-  template <typename T>
-  std::vector<T> execute_phase_collect(const std::function<T(int)>& fn) {
-    std::vector<T> results(static_cast<std::size_t>(num_ranks()));
-    execute_phase([&](int rank) {
-      results[static_cast<std::size_t>(rank)] = fn(rank);
-    });
-    return results;
-  }
-
-  /// Convenience sum-reduction over execute_phase_collect.
-  std::uint64_t execute_phase_sum(const std::function<std::uint64_t(int)>& fn) {
-    const auto values = execute_phase_collect<std::uint64_t>(fn);
-    return std::accumulate(values.begin(), values.end(), std::uint64_t{0});
-  }
 
   /// Processes outstanding messages to quiescence without a phase body.
   void quiesce();

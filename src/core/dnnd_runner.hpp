@@ -12,7 +12,8 @@
 // Besides wall time, the runner accumulates a *simulated parallel time*:
 // for every barrier-delimited superstep it takes the maximum per-rank work
 // delta (distance evaluations weighted by feature length + bytes sent
-// weighted by a configurable cost). On a single-core host this is the
+// weighted by a configurable cost). The sequential driver runs one rank at
+// a time, so its wall time cannot shrink as ranks are added; this is the
 // quantity that scales the way the paper's Figure 3 does — see DESIGN.md
 // §2 and EXPERIMENTS.md.
 #pragma once
@@ -57,7 +58,6 @@ struct DnndBuildStats {
   std::uint64_t distance_evals = 0;
   double wall_seconds = 0.0;
   double simulated_parallel_units = 0.0;
-  double simulated_serial_units = 0.0;  ///< sum instead of max (sanity ref)
 };
 
 template <typename T, typename DistanceFn>
@@ -243,7 +243,6 @@ class DnndRunner {
                 [&](int r) { engines_[at(r)]->finalize_optimization(); });
     last_build_stats_.simulated_parallel_units +=
         scratch.simulated_parallel_units;
-    last_build_stats_.simulated_serial_units += scratch.simulated_serial_units;
     optimized_ = true;
   }
 
@@ -453,8 +452,8 @@ class DnndRunner {
   }
 
   /// Runs one superstep and charges max-over-ranks work to the simulated
-  /// parallel clock (sum-over-ranks to the serial reference clock). The
-  /// label attributes the cost to a named phase in phase_profile().
+  /// parallel clock. The label attributes the cost to a named phase in
+  /// phase_profile().
   template <typename Fn>
   void timed_phase(DnndBuildStats& stats, const char* label, Fn&& fn) {
     std::vector<double> before(static_cast<std::size_t>(env_->num_ranks()));
@@ -479,14 +478,11 @@ class DnndRunner {
           e.source(), e.dest(), e.seq(), e.attempts(), e.epoch());
     }
     const double wall = timer.elapsed_s();
-    double max_delta = 0, sum_delta = 0;
+    double max_delta = 0;
     for (int r = 0; r < env_->num_ranks(); ++r) {
-      const double delta = work_of(r) - before[at(r)];
-      max_delta = std::max(max_delta, delta);
-      sum_delta += delta;
+      max_delta = std::max(max_delta, work_of(r) - before[at(r)]);
     }
     stats.simulated_parallel_units += max_delta;
-    stats.simulated_serial_units += sum_delta;
     auto& cost = phase_profile_[label];
     cost.simulated_parallel_units += max_delta;
     cost.wall_seconds += wall;

@@ -9,24 +9,10 @@
 // Membership is checked by linear scan: K is small (10–100 in the paper)
 // and the entries sit in one cache line run, so a side hash set would cost
 // more than it saves.
-// Concurrency: a NeighborList itself is not thread-safe. For concurrent
-// updates from a rank's thread pool, StripedNeighborLocks (below) maps
-// every vertex id onto one of S mutexes; update_locked() takes the owning
-// list's stripe lock around a plain update(). Two update streams are
-// equivalent iff each list sees its own updates in the same relative
-// order — the canonical-merge path in nn_descent partitions the pending
-// update stream by stripe (one task per stripe, applied in stream order
-// within the task), which preserves exactly that per-list order, so the
-// result AND the summed return codes match the serial fold bit-for-bit.
-// Under arbitrary interleavings (the property-test hammer) the final
-// contents still match the serial fold whenever every id carries one
-// fixed distance and distances are distinct: the list converges to the
-// K smallest-distance ids regardless of arrival order.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -34,31 +20,6 @@
 #include "telemetry/memory.hpp"
 
 namespace dnnd::core {
-
-/// Fixed set of mutexes striped over vertex ids. Lock i guards every
-/// NeighborList whose *owning* vertex id hashes to stripe i, so disjoint
-/// stripes can be updated concurrently with no shared state at all.
-class StripedNeighborLocks {
- public:
-  explicit StripedNeighborLocks(std::size_t stripes = 8)
-      : mutexes_(stripes == 0 ? 1 : stripes) {}
-
-  [[nodiscard]] std::size_t stripes() const noexcept {
-    return mutexes_.size();
-  }
-  [[nodiscard]] std::size_t stripe_of(VertexId id) const noexcept {
-    return static_cast<std::size_t>(id) % mutexes_.size();
-  }
-  [[nodiscard]] std::mutex& mutex_of(VertexId id) noexcept {
-    return mutexes_[stripe_of(id)];
-  }
-  [[nodiscard]] std::mutex& mutex_at(std::size_t stripe) noexcept {
-    return mutexes_[stripe];
-  }
-
- private:
-  std::vector<std::mutex> mutexes_;
-};
 
 class NeighborList {
  public:
@@ -95,15 +56,6 @@ class NeighborList {
     if (full()) pop_farthest();
     push(Neighbor{id, distance, is_new});
     return 1;
-  }
-
-  /// update() under this list's stripe lock: the concurrent entry point
-  /// for pool workers. `self` is the vertex id that owns this list (the
-  /// striping key — callers must pass the same id for the same list).
-  int update_locked(StripedNeighborLocks& locks, VertexId self, VertexId id,
-                    Dist distance, bool is_new) {
-    const std::lock_guard<std::mutex> lock(locks.mutex_of(self));
-    return update(id, distance, is_new);
   }
 
   /// Entries in heap order (not sorted). Mutable access is exposed for the

@@ -9,21 +9,24 @@
 // when the number of successful neighbor-list updates in an iteration
 // drops below δ·K·N.
 //
-// Intra-rank threading (config.threads > 1) runs the batch-capable path
-// through a deterministic staged pipeline: every parallel stage writes
-// private, index-addressed slots and a single canonical merge applies the
-// results in fixed (task-index, intra-task) order, while everything that
-// owns the rng stream stays sequential. The task decomposition depends on
-// the work size only — never the thread count — so the graph, the
-// convergence counter c, the eval/update counters, AND stats.tasks are
-// bit-identical for any thread count (threads == 1 simply runs the same
-// decomposition inline, with no threads spawned). A non-batch DistanceFn
-// keeps the original truly-serial path: its per-pair live filter makes
-// the eval count schedule-dependent, so it cannot be staged without
-// changing counters — threading requires a batch functor.
+// Intra-rank threading (config.threads > 1) splits the batch-capable
+// path's vertex-block stages across the pool: the batched evaluation in
+// initialize(), the read-only split of every list, and both passes of the
+// reversed-matrix scatter. Each stage runs ceil(n / kVertexGrain) tasks
+// that write private, index-addressed slots, merged in fixed task order;
+// everything that owns the rng stream stays sequential. The decomposition
+// depends on the work size only — never the thread count — so the graph,
+// the convergence counter c, the eval/update counters AND stats.tasks are
+// bit-identical for any thread count (threads == 1 runs the same
+// decomposition inline, with no threads spawned). The neighbor checks run
+// on the calling thread: each center's updates are an ordered sequence,
+// and splitting one center's handful of evaluations across the pool costs
+// more than the evaluations themselves. A non-batch DistanceFn keeps the
+// original truly-serial path: its per-pair live filter makes the eval
+// count schedule-dependent, so it cannot be staged without changing
+// counters — threading requires a batch functor.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -53,17 +56,10 @@ struct NnDescentStats {
   std::uint64_t distance_evals = 0;
   std::uint64_t updates = 0;
   std::vector<std::uint64_t> updates_per_iteration;
-  /// Pool tasks dispatched (batch path). A pure function of the work
-  /// shape, asserted bit-identical across thread counts by the parity
-  /// tests. 0 on the non-batch path.
+  /// Pool tasks dispatched (batch path): one per vertex block per staged
+  /// pass, i.e. ceil(n / 256) * (1 + 3 * iterations), for any thread
+  /// count. 0 on the non-batch path.
   std::uint64_t tasks = 0;
-  /// Deterministic per-virtual-thread eval ledger: eval task t charges
-  /// its candidate count to slot (rotor++ % threads), in task order. On
-  /// this simulator's single-core host wall clock cannot show intra-rank
-  /// scaling, so sum/max of this ledger is the thread-scaling headline
-  /// (same convention as the simulated cost model in bench_scaling).
-  /// Invariant: sum == distance_evals on the batch path.
-  std::vector<std::uint64_t> thread_work;
 };
 
 /// DistanceFn: Dist(std::span<const T>, std::span<const T>).
@@ -82,7 +78,6 @@ class NnDescent {
     const std::size_t n = points_->size();
     util::Xoshiro256 rng(config_.seed);
     lists_.assign(n, NeighborList(config_.k));
-    stats_.thread_work.assign(pool_.threads(), 0);
 
     initialize(rng);
 
@@ -102,39 +97,20 @@ class NnDescent {
   [[nodiscard]] const NnDescentStats& stats() const noexcept { return stats_; }
 
  private:
-  /// Grain for vertex-block stages (split, reversed-matrix passes).
+  /// Grain of every pool stage: vertices per task.
   static constexpr std::size_t kVertexGrain = 256;
-  /// Grain for batched-eval tasks: one kernel batch per task.
-  static constexpr std::size_t kEvalGrain = 16;
-  /// Pending-update streams at least this long use the striped-lock
-  /// canonical merge; shorter ones fold inline. The cut depends only on
-  /// the stream length, so task counts stay thread-count-invariant.
-  static constexpr std::size_t kStripedApplyMin = 64;
 
   Dist eval(VertexId a, VertexId b) {
     ++stats_.distance_evals;
     return distance_((*points_)[a], (*points_)[b]);
   }
 
-  /// Dispatches the fixed block decomposition through the pool and
-  /// accounts the tasks (count is thread-count-independent).
+  /// Dispatches one vertex-block stage through the pool and accounts its
+  /// tasks (count is thread-count-independent).
   template <typename Fn>
-  void run_blocks(std::size_t items, std::size_t grain, Fn&& fn) {
-    stats_.tasks += ThreadPool::block_count(items, grain);
-    pool_.for_blocks(items, grain, std::forward<Fn>(fn));
-  }
-
-  /// Charges `units` of eval work to the next virtual thread (fixed
-  /// round-robin over task order — deterministic for any real pool size).
-  void charge_eval(std::uint64_t units) {
-    stats_.thread_work[work_rotor_++ % stats_.thread_work.size()] += units;
-  }
-
-  /// Charges each eval task of a block decomposition, in task order.
-  void charge_eval_blocks(std::size_t items, std::size_t grain) {
-    for (std::size_t b = 0; b < items; b += grain) {
-      charge_eval(b + grain < items ? grain : items - b);
-    }
+  void run_blocks(std::size_t n, Fn&& fn) {
+    stats_.tasks += ThreadPool::block_count(n, kVertexGrain);
+    pool_.for_blocks(n, kVertexGrain, std::forward<Fn>(fn));
   }
 
   /// Lines 2–5: K random neighbors per vertex.
@@ -162,32 +138,23 @@ class NnDescent {
       // Stage 2 (parallel, slot = the vertex's own list): batch-eval each
       // vertex's partners and apply in draw order. Writes touch only
       // lists_[vi] — private to the task that owns block vi.
-      for (std::size_t b = 0; b < n; b += kVertexGrain) {
-        std::uint64_t units = 0;
-        const std::size_t e = b + kVertexGrain < n ? b + kVertexGrain : n;
-        for (std::size_t vi = b; vi < e; ++vi) units += drawn[vi].size();
-        charge_eval(units);
-      }
-      run_blocks(n, kVertexGrain,
-                 [&](std::size_t, std::size_t begin, std::size_t end) {
-                   std::vector<const T*> rows;
-                   std::vector<Dist> dists;
-                   for (std::size_t vi = begin; vi < end; ++vi) {
-                     const auto& mine = drawn[vi];
-                     if (mine.empty()) continue;
-                     rows.clear();
-                     for (const VertexId u : mine) {
-                       rows.push_back((*points_)[u].data());
-                     }
-                     dists.resize(mine.size());
-                     const auto q = (*points_)[static_cast<VertexId>(vi)];
-                     distance_.batch(q.data(), rows.data(), mine.size(),
-                                     q.size(), dists.data());
-                     for (std::size_t j = 0; j < mine.size(); ++j) {
-                       lists_[vi].update(mine[j], dists[j], true);
-                     }
-                   }
-                 });
+      run_blocks(n, [&](std::size_t, std::size_t begin, std::size_t end) {
+        std::vector<const T*> rows;
+        std::vector<Dist> dists;
+        for (std::size_t vi = begin; vi < end; ++vi) {
+          const auto& mine = drawn[vi];
+          if (mine.empty()) continue;
+          rows.clear();
+          for (const VertexId u : mine) rows.push_back((*points_)[u].data());
+          dists.resize(mine.size());
+          const auto q = (*points_)[static_cast<VertexId>(vi)];
+          distance_.batch(q.data(), rows.data(), mine.size(), q.size(),
+                          dists.data());
+          for (std::size_t j = 0; j < mine.size(); ++j) {
+            lists_[vi].update(mine[j], dists[j], true);
+          }
+        }
+      });
     } else {
       for (std::size_t vi = 0; vi < n; ++vi) {
         const auto v = static_cast<VertexId>(vi);
@@ -215,19 +182,18 @@ class NnDescent {
       // Stage 1 (parallel, slots old_ids[vi] / fresh[vi]): read-only
       // split of every list in its deterministic heap order.
       std::vector<std::vector<std::size_t>> fresh(n);
-      run_blocks(n, kVertexGrain,
-                 [&](std::size_t, std::size_t begin, std::size_t end) {
-                   for (std::size_t vi = begin; vi < end; ++vi) {
-                     const auto entries = std::as_const(lists_[vi]).entries();
-                     for (std::size_t e = 0; e < entries.size(); ++e) {
-                       if (entries[e].is_new) {
-                         fresh[vi].push_back(e);
-                       } else {
-                         old_ids[vi].push_back(entries[e].id);
-                       }
-                     }
-                   }
-                 });
+      run_blocks(n, [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t vi = begin; vi < end; ++vi) {
+          const auto entries = std::as_const(lists_[vi]).entries();
+          for (std::size_t e = 0; e < entries.size(); ++e) {
+            if (entries[e].is_new) {
+              fresh[vi].push_back(e);
+            } else {
+              old_ids[vi].push_back(entries[e].id);
+            }
+          }
+        }
+      });
       // Stage 2 (sequential: owns the rng stream and the flag flips) —
       // consumes the rng byte-identically to the fused serial loop.
       for (std::size_t vi = 0; vi < n; ++vi) {
@@ -280,79 +246,45 @@ class NnDescent {
 
     // Lines 17–22: neighbor checks. With a batch-capable distance functor
     // the candidates of one center u1 are gathered (filtered against the
-    // pre-row list state) and evaluated through the one-query-vs-many
-    // kernel; updates are then applied in the original pair order, so the
-    // result is a pure function of the values — identical across the
-    // scalar and SIMD dispatch paths, and across thread counts.
+    // list state before any of u1's updates) and evaluated through the
+    // one-query-vs-many kernel; updates are then applied in the original
+    // pair order, so the result is a pure function of the values —
+    // identical across the scalar and SIMD dispatch paths.
     std::uint64_t c = 0;
     if constexpr (BatchDistance<DistanceFn, T>) {
-      std::vector<VertexId> raw, cand;
-      std::vector<std::uint8_t> keep;
+      std::vector<VertexId> cand;
       std::vector<const T*> rows;
       std::vector<Dist> dists;
-      std::vector<PendingUpdate> pending;
       for (std::size_t vi = 0; vi < n; ++vi) {
         const auto& nu = new_ids[vi];
         const auto& ol = old_ids[vi];
         for (std::size_t i = 0; i < nu.size(); ++i) {
           const VertexId u1 = nu[i];
-          raw.clear();
-          for (std::size_t j = i + 1; j < nu.size(); ++j) raw.push_back(nu[j]);
-          raw.insert(raw.end(), ol.begin(), ol.end());
-          if (raw.empty()) continue;
-          // Candidate filter (parallel, slot keep[idx]): pure reads of
-          // the pre-center list state — exactly the state the fused
-          // serial gather saw, because the previous center's updates
-          // were applied before this center started.
-          keep.assign(raw.size(), 0);
-          run_blocks(
-              raw.size(), kEvalGrain,
-              [&](std::size_t, std::size_t begin, std::size_t end) {
-                for (std::size_t idx = begin; idx < end; ++idx) {
-                  const VertexId u2 = raw[idx];
-                  if (u1 == u2) continue;
-                  // The both-sides-known skip from check(): purely a work
-                  // saver — update() no-ops on contained ids, so a pair
-                  // that becomes redundant mid-batch cannot change the
-                  // graph.
-                  if (lists_[u1].contains(u2) && lists_[u2].contains(u1)) {
-                    continue;
-                  }
-                  keep[idx] = 1;
-                }
-              });
           cand.clear();
           rows.clear();
-          for (std::size_t idx = 0; idx < raw.size(); ++idx) {
-            if (keep[idx] == 0) continue;
-            cand.push_back(raw[idx]);
-            rows.push_back((*points_)[raw[idx]].data());
-          }
+          const auto gather = [&](VertexId u2) {
+            if (u1 == u2) return;
+            // The both-sides-known skip from check(): purely a work saver
+            // — update() no-ops on contained ids, so a pair that becomes
+            // redundant mid-batch cannot change the graph.
+            if (lists_[u1].contains(u2) && lists_[u2].contains(u1)) return;
+            cand.push_back(u2);
+            rows.push_back((*points_)[u2].data());
+          };
+          for (std::size_t j = i + 1; j < nu.size(); ++j) gather(nu[j]);
+          for (const VertexId u2 : ol) gather(u2);
           if (cand.empty()) continue;
           dists.resize(cand.size());
           const auto q = (*points_)[u1];
           stats_.distance_evals += cand.size();
-          charge_eval_blocks(cand.size(), kEvalGrain);
-          // Batched eval (parallel, slot dists[b..e)): the kernel
-          // contract makes out[i] a function of (q, rows[i]) alone, so
-          // any split of the batch is bit-exact.
-          run_blocks(cand.size(), kEvalGrain,
-                     [&](std::size_t, std::size_t begin, std::size_t end) {
-                       distance_.batch(q.data(), rows.data() + begin,
-                                       end - begin, q.size(),
-                                       dists.data() + begin);
-                     });
-          // Canonical merge: the pending update stream in serial pair
-          // order, applied either inline or striped by target list.
-          pending.clear();
+          distance_.batch(q.data(), rows.data(), cand.size(), q.size(),
+                          dists.data());
           for (std::size_t m = 0; m < cand.size(); ++m) {
-            pending.push_back({u1, cand[m], dists[m],
-                               static_cast<std::uint8_t>(locks_.stripe_of(u1))});
-            pending.push_back(
-                {cand[m], u1, dists[m],
-                 static_cast<std::uint8_t>(locks_.stripe_of(cand[m]))});
+            c += static_cast<std::uint64_t>(
+                lists_[u1].update(cand[m], dists[m], true));
+            c += static_cast<std::uint64_t>(
+                lists_[cand[m]].update(u1, dists[m], true));
           }
-          c += apply_pending(pending);
         }
       }
     } else {
@@ -369,49 +301,6 @@ class NnDescent {
         }
       }
     }
-    return c;
-  }
-
-  struct PendingUpdate {
-    VertexId target;    ///< the list being updated
-    VertexId candidate; ///< the id offered to it
-    Dist distance;
-    std::uint8_t stripe;  ///< locks_.stripe_of(target), precomputed
-  };
-
-  /// Applies a pending update stream. Updates to one list commute with
-  /// updates to any other (update() touches only its target), so any
-  /// partition that preserves each list's own subsequence order yields
-  /// the same state and the same summed return codes as the serial fold.
-  /// The striped path partitions by stripe — one task per stripe, stream
-  /// order within it — and sums per-stripe counters in stripe order; the
-  /// stripe lock is held across the task, making every access to a
-  /// stripe's lists mutex-ordered (TSan-visible if the disjointness were
-  /// ever violated).
-  std::uint64_t apply_pending(const std::vector<PendingUpdate>& pending) {
-    if (pending.size() < kStripedApplyMin) {
-      std::uint64_t c = 0;
-      for (const PendingUpdate& p : pending) {
-        c += static_cast<std::uint64_t>(
-            lists_[p.target].update(p.candidate, p.distance, true));
-      }
-      return c;
-    }
-    std::array<std::uint64_t, 64> stripe_c{};
-    const std::size_t stripes = locks_.stripes();
-    stats_.tasks += stripes;
-    pool_.run(stripes, [&](std::size_t s) {
-      std::uint64_t local = 0;
-      const std::lock_guard<std::mutex> lock(locks_.mutex_at(s));
-      for (const PendingUpdate& p : pending) {
-        if (p.stripe != s) continue;
-        local += static_cast<std::uint64_t>(
-            lists_[p.target].update(p.candidate, p.distance, true));
-      }
-      stripe_c[s] = local;
-    });
-    std::uint64_t c = 0;
-    for (std::size_t s = 0; s < stripes; ++s) c += stripe_c[s];
     return c;
   }
 
@@ -435,19 +324,18 @@ class NnDescent {
       std::vector<std::pair<VertexId, VertexId>> new_pairs;
     };
     std::vector<Bucket> buckets(blocks * blocks);
-    run_blocks(n, kVertexGrain,
-               [&](std::size_t task, std::size_t begin, std::size_t end) {
-                 Bucket* row = buckets.data() + task * blocks;
-                 for (std::size_t vi = begin; vi < end; ++vi) {
-                   const auto v = static_cast<VertexId>(vi);
-                   for (const VertexId u : old_ids[vi]) {
-                     row[stripe_of(u)].old_pairs.emplace_back(u, v);
-                   }
-                   for (const VertexId u : new_ids[vi]) {
-                     row[stripe_of(u)].new_pairs.emplace_back(u, v);
-                   }
-                 }
-               });
+    run_blocks(n, [&](std::size_t task, std::size_t begin, std::size_t end) {
+      Bucket* row = buckets.data() + task * blocks;
+      for (std::size_t vi = begin; vi < end; ++vi) {
+        const auto v = static_cast<VertexId>(vi);
+        for (const VertexId u : old_ids[vi]) {
+          row[stripe_of(u)].old_pairs.emplace_back(u, v);
+        }
+        for (const VertexId u : new_ids[vi]) {
+          row[stripe_of(u)].new_pairs.emplace_back(u, v);
+        }
+      }
+    });
     stats_.tasks += blocks;
     pool_.run(blocks, [&](std::size_t s) {
       for (std::size_t t = 0; t < blocks; ++t) {
@@ -501,10 +389,8 @@ class NnDescent {
   DistanceFn distance_;
   NnDescentConfig config_;
   ThreadPool pool_;
-  StripedNeighborLocks locks_;
   std::vector<NeighborList> lists_;
   NnDescentStats stats_;
-  std::size_t work_rotor_ = 0;
 };
 
 /// Deduction-friendly helper.

@@ -121,20 +121,6 @@ class InArchive {
     return values;
   }
 
-  /// Zero-copy view of a serialized span; valid while the buffer lives.
-  /// Only safe when the element alignment is 1 (e.g. uint8 features) or
-  /// the caller guarantees the buffer offset is aligned — messages are
-  /// packed back to back, so multi-byte elements generally are NOT.
-  /// Prefer read_into() for float/int payloads.
-  template <WireTrivial T>
-  std::span<const T> read_view() {
-    const std::uint64_t n = read_size();
-    require(n * sizeof(T));
-    const auto* data = reinterpret_cast<const T*>(cursor_);
-    cursor_ += n * sizeof(T);
-    return {data, static_cast<std::size_t>(n)};
-  }
-
   /// Reads a serialized span into `scratch` (resized to fit, capacity
   /// reused across calls — the allocation-free hot path for handlers that
   /// deserialize one feature vector per message).

@@ -193,16 +193,6 @@ TEST(MessageStatsUnit, ByLabelSumsAndReset) {
   EXPECT_EQ(s.handlers().size(), 2u);  // registry survives reset
 }
 
-TEST(Environment, PhaseCollectGathersPerRankValues) {
-  Environment env(Config{.num_ranks = 4});
-  const auto values = env.execute_phase_collect<std::uint64_t>(
-      [](int rank) { return static_cast<std::uint64_t>(rank * rank); });
-  EXPECT_EQ(values, (std::vector<std::uint64_t>{0, 1, 4, 9}));
-  EXPECT_EQ(env.execute_phase_sum(
-                [](int rank) { return static_cast<std::uint64_t>(rank); }),
-            6u);
-}
-
 TEST(Environment, AggregateStatsMergesRanks) {
   Environment env(Config{.num_ranks = 2});
   std::vector<HandlerId> h(2);

@@ -14,9 +14,9 @@
 #                  counters, so the same committed metrics baseline must
 #                  gate it unchanged)
 #   tsan           DNND_SANITIZE=thread, run with DNND_THREADS_PER_RANK=4:
-#                  every auto-threaded pool (NN-Descent hot loops, engine
-#                  phases, query handlers, the NeighborList striped-lock
-#                  hammer) runs under ThreadSanitizer with real workers.
+#                  every auto-threaded pool (NN-Descent vertex-block
+#                  stages, engine phases, query handlers) runs under
+#                  ThreadSanitizer with real workers.
 #                  The thread-count determinism contract says this leg's
 #                  graphs and counters are bit-identical to serial runs,
 #                  so the SAME committed metrics baseline gates it
@@ -75,8 +75,8 @@ for name in "${selected[@]}"; do
   #   recovery       kill-and-resume; checkpoint and resume paths are
   #                  instrumented, so telemetry-off proves recovery does
   #                  not depend on the counters existing
-  #   concurrency    striped NeighborList hammer, thread parity matrix —
-  #                  the TSan leg's main payload
+  #   concurrency    thread parity matrix and the memory ledger's
+  #                  multi-thread hammer — the TSan leg's main payload
   #   serving-chaos  replicated serving failover: detection, replica
   #                  routing and degraded-mode coverage, driven by the
   #                  TSan leg's 4-thread run environment

@@ -89,21 +89,6 @@ TEST(Archive, EmptyVectorRoundTrip) {
   EXPECT_TRUE(in.empty());
 }
 
-TEST(Archive, ReadViewIsZeroCopy) {
-  OutArchive out;
-  const std::vector<std::uint8_t> v = {9, 8, 7};
-  out.write_vector(v);
-  InArchive in(out.bytes());
-  const auto view = in.read_view<std::uint8_t>();
-  ASSERT_EQ(view.size(), 3u);
-  EXPECT_EQ(view[0], 9);
-  // The view must alias the archive buffer, not a copy.
-  EXPECT_GE(reinterpret_cast<const std::byte*>(view.data()),
-            out.bytes().data());
-  EXPECT_LT(reinterpret_cast<const std::byte*>(view.data()),
-            out.bytes().data() + out.bytes().size());
-}
-
 TEST(Archive, StringRoundTrip) {
   OutArchive out;
   out.write_string("hello world");
