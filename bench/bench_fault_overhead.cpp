@@ -38,7 +38,6 @@
 #include "core/distributed_query.hpp"
 #include "core/dnnd_checkpoint.hpp"
 #include "mpi/fault_injector.hpp"
-#include "telemetry/telemetry.hpp"
 
 using namespace dnnd;  // NOLINT
 
@@ -138,11 +137,9 @@ QueryRow run_queries(const char* name, const core::FeatureStore<float>& base,
   row.wall_s = timer.elapsed_s();
   row.qps = static_cast<double>(queries.size()) / row.wall_s;
   row.datagrams = env.world().datagrams_posted();
-  if constexpr (telemetry::kEnabled) {
-    const auto metrics = env.aggregate_metrics();
-    row.replica_bytes = metrics.gauge_value("mem.replica.features") +
-                        metrics.gauge_value("mem.replica.rows");
-  }
+  const auto metrics = env.aggregate_metrics();
+  row.replica_bytes = metrics.gauge_value("mem.replica.features") +
+                      metrics.gauge_value("mem.replica.rows");
   std::vector<std::vector<core::Neighbor>> computed;
   computed.reserve(results.size());
   for (const auto& r : results) computed.push_back(r.neighbors);

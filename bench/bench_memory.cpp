@@ -12,7 +12,6 @@
 #include "core/feature_store.hpp"
 #include "core/neighbor_list.hpp"
 #include "telemetry/memory.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -96,14 +95,6 @@ int main() {
   dnnd::bench::print_header(
       "memory footprint: bytes per point by subsystem and layout");
   BenchReport report("memory");
-  if constexpr (!dnnd::telemetry::kEnabled) {
-    // MemTag compiles to a no-op under DNND_TELEMETRY=OFF, so the ledger
-    // would read all-zero; an empty report beats a misleading one.
-    std::printf("telemetry disabled at build time — no ledger to read; "
-                "writing an empty report\n");
-    report.write("BENCH_memory.json");
-    return 0;
-  }
   for (const std::size_t n : {std::size_t{10'000}, std::size_t{100'000}}) {
     const Footprint csr = measure<FeatureStore<float>>(n);
     report_layout(report, "csr_fp32", n, csr);

@@ -133,8 +133,8 @@ BENCHMARK(BM_CommRoundTrip);
 void BM_CommRoundTripTraced(benchmark::State& state) {
   // Same all-to-all with causal tracing at the given root sample period
   // (0 = untraced fast path). Comparing period 0 here against
-  // BM_CommRoundTrip — and both against a DNND_TELEMETRY=OFF build —
-  // bounds the envelope/dispatch overhead of the tracing machinery.
+  // BM_CommRoundTrip bounds the envelope/dispatch overhead of the tracing
+  // machinery.
   const int ranks = 4;
   comm::Config cfg;
   cfg.num_ranks = ranks;

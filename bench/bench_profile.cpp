@@ -72,18 +72,16 @@ int main() {
     // recorded barrier-wait distribution; the full artifacts land next to
     // the bench so they can be diffed between commits or opened in
     // chrome://tracing.
-    if constexpr (telemetry::kEnabled) {
-      const auto merged = env.aggregate_metrics();
-      std::printf("telemetry: %" PRIu64 " distance evals, %" PRIu64
-                  " neighbor-list updates, inbox-depth peak %" PRId64 "\n",
-                  merged.counter_value("engine.distance_evals"),
-                  merged.counter_value("engine.updates"),
-                  merged.gauge_peak("comm.inbox_depth"));
-      const auto& waits = merged.histogram_of("comm.barrier_wait_us");
-      std::printf("barrier waits: %" PRIu64 " drains, mean %.0f us, max %"
-                  PRIu64 " us\n",
-                  waits.count(), waits.mean(), waits.max());
-    }
+    const auto merged = env.aggregate_metrics();
+    std::printf("telemetry: %" PRIu64 " distance evals, %" PRIu64
+                " neighbor-list updates, inbox-depth peak %" PRId64 "\n",
+                merged.counter_value("engine.distance_evals"),
+                merged.counter_value("engine.updates"),
+                merged.gauge_peak("comm.inbox_depth"));
+    const auto& waits = merged.histogram_of("comm.barrier_wait_us");
+    std::printf("barrier waits: %" PRIu64 " drains, mean %.0f us, max %"
+                PRIu64 " us\n",
+                waits.count(), waits.mean(), waits.max());
     const std::string prefix = "profile_r" + std::to_string(ranks);
     env.export_telemetry(prefix + ".metrics.json", prefix + ".trace.json",
                          prefix + ".timeseries.json");

@@ -36,6 +36,7 @@
 // File type is inferred from the extension: .fvecs/.fbin = float32,
 // .bvecs/.u8bin = uint8. Metric is L2 (the billion-scale datasets').
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -161,8 +162,7 @@ int build_typed(const core::FeatureStore<T>& base, const std::string& store,
                 std::size_t k, int ranks, const BuildOptions& opts) {
   // Causal tracing on by default for CLI builds: every 64th root message
   // starts a traced chain, cheap enough to leave on and dense enough that
-  // a multi-iteration build yields cross-rank flow arrows. No-op (and
-  // zero envelope bytes) when the library is built with DNND_TELEMETRY=OFF.
+  // a multi-iteration build yields cross-rank flow arrows.
   // DNND_TRACE_SAMPLE_PERIOD overrides the period; 0 disables tracing,
   // which also makes handler byte counters byte-deterministic (traced
   // envelopes carry wall-clock varints) — the regression gate relies on
@@ -252,21 +252,18 @@ int build_typed(const core::FeatureStore<T>& base, const std::string& store,
   // Publish the datastore's arena accounting into rank 0's registry so
   // the memory report sees it next to the heap subsystems (flagged as
   // file-backed there — it does not count against a DRAM budget).
-  if constexpr (telemetry::kEnabled) {
-    const pmem::ArenaStats astats = mgr.stats();
-    auto& tel0 = env->telemetry(0);
-    tel0.set_with_peak(
-        tel0.gauge("mem.pmem.arena.bytes", telemetry::MetricUnit::kBytes),
-        static_cast<std::int64_t>(astats.allocated_bytes),
-        static_cast<std::int64_t>(astats.high_water_bytes));
-  }
+  const pmem::ArenaStats astats = mgr.stats();
+  auto& tel0 = env->telemetry(0);
+  tel0.set_with_peak(
+      tel0.gauge("mem.pmem.arena.bytes", telemetry::MetricUnit::kBytes),
+      static_cast<std::int64_t>(astats.allocated_bytes),
+      static_cast<std::int64_t>(astats.high_water_bytes));
   // Telemetry artifacts ride along with the datastore: merged + per-rank
   // metrics, a Chrome trace of the build's phase timeline with causal
   // message flows (load in chrome://tracing), and the per-iteration
   // counter time series. Exported after the datastore is persisted so the
-  // memory gauges capture the whole build, arena included. With
-  // DNND_TELEMETRY=OFF all three files are still written as
-  // valid-but-empty documents. Inspect with `dnnd_cli stats <datastore>`.
+  // memory gauges capture the whole build, arena included. Inspect with
+  // `dnnd_cli stats <datastore>`.
   env->export_telemetry(store + ".metrics.json", store + ".trace.json",
                         store + ".timeseries.json");
   std::printf("telemetry: %s.{metrics,trace,timeseries}.json\n",
@@ -594,6 +591,15 @@ int cmd_info(int, char** argv) {
 // "the tool broke".
 constexpr int kExitOutOfTolerance = 3;
 
+/// Parses all of `text` as a finite number. False for empty text,
+/// trailing junk, nan or inf: a nan tolerance would make every comparison
+/// false and pass any diff.
+bool parse_finite(std::string_view text, double& out) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end && std::isfinite(out);
+}
+
 int cmd_stats(int argc, char** argv) {
   // Flag parsing: positional args first, then --flag value pairs.
   std::vector<std::string> positional;
@@ -603,6 +609,17 @@ int cmd_stats(int argc, char** argv) {
   double budget_gb = 16.0;
   bool diff = false;
   bool memory = false;
+  // Reads the value after flag argv[i]: finite, and > 0 (or >= 0 when
+  // `zero_ok`). Prints the refusal itself.
+  const auto read_number = [&](int& i, double& out, bool zero_ok) {
+    const char* const flag = argv[i++];
+    if (parse_finite(argv[i], out) && (out > 0.0 || (zero_ok && out == 0.0))) {
+      return true;
+    }
+    std::fprintf(stderr, "stats: %s wants a finite number %s 0, got %s\n",
+                 flag, zero_ok ? ">=" : ">", argv[i]);
+    return false;
+  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--diff") {
@@ -610,13 +627,13 @@ int cmd_stats(int argc, char** argv) {
     } else if (arg == "--memory") {
       memory = true;
     } else if (arg == "--straggler-factor" && i + 1 < argc) {
-      straggler_factor = std::atof(argv[++i]);
+      if (!read_number(i, straggler_factor, false)) return 2;
     } else if (arg == "--tolerance" && i + 1 < argc) {
-      tolerance_pct = std::atof(argv[++i]);
+      if (!read_number(i, tolerance_pct, true)) return 2;
     } else if (arg == "--mem-tolerance" && i + 1 < argc) {
-      mem_tolerance_pct = std::atof(argv[++i]);
+      if (!read_number(i, mem_tolerance_pct, true)) return 2;
     } else if (arg == "--budget-gb" && i + 1 < argc) {
-      budget_gb = std::atof(argv[++i]);
+      if (!read_number(i, budget_gb, false)) return 2;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "stats: unknown flag %s\n", arg.c_str());
       return 2;
@@ -677,9 +694,8 @@ int cmd_stats(int argc, char** argv) {
     return 1;
   }
   if (metrics) {
-    std::printf("run: %d ranks, telemetry %s\n",
-                static_cast<int>(metrics->at("ranks").as_number()),
-                metrics->at("enabled").as_bool() ? "on" : "off");
+    std::printf("run: %d ranks\n",
+                static_cast<int>(metrics->at("ranks").as_number()));
     // Checkpoint/recovery overhead, when the run wrote any (build
     // --checkpoint-every). Counters live in the merged metrics object.
     if (metrics->contains("metrics") &&

@@ -86,10 +86,8 @@ void Communicator::mark_peer_dead(int peer) {
   // for a channel whose failure is already known and handled.
   if (reliable_) {
     auto& channel = send_channels_[p];
-    if constexpr (telemetry::kEnabled) {
-      for (const auto& [seq, pending] : channel.pending) {
-        t_retry_.sub(static_cast<std::int64_t>(pending.payload.size()));
-      }
+    for (const auto& [seq, pending] : channel.pending) {
+      t_retry_.sub(static_cast<std::int64_t>(pending.payload.size()));
     }
     channel.pending.clear();
     recv_channels_[p].ack_due = false;  // never ack a corpse
@@ -110,9 +108,7 @@ void Communicator::flush_to(int dest) {
   mpi::Datagram datagram;
   datagram.source = rank_;
   datagram.message_count = buffer.message_count;
-  if constexpr (telemetry::kEnabled) {
-    datagram.post_ts_us = telemetry::now_us();
-  }
+  datagram.post_ts_us = telemetry::now_us();
   datagram.payload = buffer.archive.release();
   t_mailbox_.sub(static_cast<std::int64_t>(datagram.payload.size()));
   buffer.archive.clear();
@@ -135,24 +131,19 @@ std::size_t Communicator::process_available(std::size_t max_datagrams) {
   // A dead rank does nothing: no collects, no acks, no retransmits, no
   // heartbeats. Its silence is exactly what the peers' detectors observe.
   if (!world_->alive(rank_)) return 0;
-  if constexpr (telemetry::kEnabled) {
-    // Inbox-depth probe takes the mailbox mutex; keep it out of
-    // DNND_TELEMETRY=OFF builds entirely.
-    telemetry_.set(g_inbox_depth_,
-                   static_cast<std::int64_t>(world_->mailbox_depth(rank_)));
-  }
+  // Inbox-depth probe (takes the mailbox mutex).
+  telemetry_.set(g_inbox_depth_,
+                 static_cast<std::int64_t>(world_->mailbox_depth(rank_)));
   std::size_t messages = 0;
   mpi::Datagram datagram;
   for (std::size_t i = 0; i < max_datagrams; ++i) {
     if (!world_->try_collect(rank_, datagram)) break;
     if (reliable_ && !reliable_receive(datagram)) continue;
-    if constexpr (telemetry::kEnabled) {
-      if (datagram.post_ts_us != 0) {
-        const std::uint64_t now = telemetry::now_us();
-        telemetry_.record(h_dgram_queue_, now >= datagram.post_ts_us
-                                              ? now - datagram.post_ts_us
-                                              : 0);
-      }
+    if (datagram.post_ts_us != 0) {
+      const std::uint64_t now = telemetry::now_us();
+      telemetry_.record(h_dgram_queue_, now >= datagram.post_ts_us
+                                            ? now - datagram.post_ts_us
+                                            : 0);
     }
     dispatch(datagram);
     messages += datagram.message_count;
@@ -215,10 +206,8 @@ bool Communicator::reliable_receive(const mpi::Datagram& datagram) {
     auto& channel = send_channels_[src];
     const std::uint64_t cumulative = ar.read_size();
     const auto cumulative_end = channel.pending.upper_bound(cumulative);
-    if constexpr (telemetry::kEnabled) {
-      for (auto it = channel.pending.begin(); it != cumulative_end; ++it) {
-        t_retry_.sub(static_cast<std::int64_t>(it->second.payload.size()));
-      }
+    for (auto it = channel.pending.begin(); it != cumulative_end; ++it) {
+      t_retry_.sub(static_cast<std::int64_t>(it->second.payload.size()));
     }
     channel.pending.erase(channel.pending.begin(), cumulative_end);
     const std::uint64_t selective = ar.read_size();
@@ -285,9 +274,7 @@ void Communicator::drive_retransmits() {
       copy.source = rank_;
       copy.seq = seq;
       copy.message_count = pending.message_count;
-      if constexpr (telemetry::kEnabled) {
-        copy.post_ts_us = telemetry::now_us();
-      }
+      copy.post_ts_us = telemetry::now_us();
       copy.payload = pending.payload;
       world_->post(dest, std::move(copy));
       ++pending.attempts;
@@ -349,21 +336,15 @@ void Communicator::dispatch(const mpi::Datagram& datagram) {
   std::uint32_t handled = 0;
   while (!archive.empty()) {
     const std::uint64_t key = archive.read_size();
-    HandlerId handler_id;
-    bool traced = false;
+    const auto handler_id = static_cast<HandlerId>(key >> 1);
+    const bool traced = (key & 1u) != 0;
     TraceContext ctx;
     std::uint64_t send_ts = 0;
-    if constexpr (telemetry::kEnabled) {
-      handler_id = static_cast<HandlerId>(key >> 1);
-      traced = (key & 1u) != 0;
-      if (traced) {
-        ctx.trace_id = archive.read_size();
-        ctx.span_id = archive.read_size();
-        ctx.hop = static_cast<std::uint32_t>(archive.read_size());
-        send_ts = archive.read_size();
-      }
-    } else {
-      handler_id = static_cast<HandlerId>(key);
+    if (traced) {
+      ctx.trace_id = archive.read_size();
+      ctx.span_id = archive.read_size();
+      ctx.hop = static_cast<std::uint32_t>(archive.read_size());
+      send_ts = archive.read_size();
     }
     if (handler_id >= handlers_.size()) {
       throw std::runtime_error("Communicator: unknown handler id");

@@ -29,18 +29,16 @@
 // livelocking. When no injector is installed none of this state exists and
 // the fast path is identical to the unreliable transport.
 //
-// Causal tracing (telemetry builds): a sampled message carries a
-// TraceContext — trace id, the send-side span id (which doubles as the
-// Chrome-trace flow id), hop count, and the submission timestamp — inside
-// its envelope. The traced/untraced distinction rides the low bit of the
-// handler-id varint, so an *untraced* message costs zero extra wire
-// bytes; with DNND_TELEMETRY=OFF the envelope is the plain handler id and
-// no trace code exists at all. Handler dispatch of a traced message opens
-// a child span (queue latency = handler start − submission; duration =
-// handler time), emits the flow-finish event that stitches it to the
-// sender, and makes the context current so messages the handler sends
-// propagate the trace — Type-1 → Type-2+ → Type-3 chains stay connected
-// across any number of ranks.
+// Causal tracing: a sampled message carries a TraceContext — trace id,
+// the send-side span id (which doubles as the Chrome-trace flow id), hop
+// count, and the submission timestamp — inside its envelope. The
+// traced/untraced distinction rides the low bit of the handler-id varint,
+// so an *untraced* message costs zero extra wire bytes. Handler dispatch
+// of a traced message opens a child span (queue latency = handler start −
+// submission; duration = handler time), emits the flow-finish event that
+// stitches it to the sender, and makes the context current so messages
+// the handler sends propagate the trace — Type-1 → Type-2+ → Type-3
+// chains stay connected across any number of ranks.
 //
 // Thread safety: a Communicator belongs to one rank and is only touched by
 // that rank's thread (handlers for rank r run on rank r's thread). The
@@ -203,8 +201,7 @@ class Communicator {
   /// protocol switches on iff `world.faulty()` at construction time.
   /// `trace_sample_period`: every Nth root message (one with no inbound
   /// context to propagate) starts a new sampled trace; 0 disables tracing
-  /// entirely — no trace bytes on the wire, no clock reads. Ignored under
-  /// DNND_TELEMETRY=OFF.
+  /// entirely — no trace bytes on the wire, no clock reads.
   Communicator(mpi::World& world, int rank, std::size_t send_buffer_bytes,
                RetryConfig retry = {}, std::uint64_t trace_sample_period = 0,
                FailureDetectorConfig detector = {});
@@ -242,36 +239,32 @@ class Communicator {
       flush_to(dest);
     }
     const std::size_t before = buffer.archive.size();
-    if constexpr (telemetry::kEnabled) {
-      // Envelope: handler id shifted left one bit, low bit = traced flag.
-      // Untraced messages therefore serialize exactly one varint, the
-      // same byte count the plain handler id costs (ids stay < 64).
-      const TraceContext ctx = outbound_context();
-      if (ctx.active()) {
-        buffer.archive.write_size((static_cast<std::uint64_t>(handler) << 1) |
-                                  1u);
-        const std::uint64_t send_ts = telemetry::now_us();
-        buffer.archive.write_size(ctx.trace_id);
-        buffer.archive.write_size(ctx.span_id);
-        buffer.archive.write_size(ctx.hop);
-        buffer.archive.write_size(send_ts);
-        // Flow start anchors to whatever span is open on this rank at
-        // submission time (a phase span or the handler span that is
-        // sending a follow-up).
-        telemetry_.add_trace_event(make_flow_event(
-            's', handlers_[handler].label, send_ts, ctx.span_id));
-        telemetry_.add(c_traced_sends_);
-      } else {
-        buffer.archive.write_size(static_cast<std::uint64_t>(handler) << 1);
-      }
+    // Envelope: handler id shifted left one bit, low bit = traced flag.
+    // Untraced messages therefore serialize exactly one varint, the same
+    // byte count the plain handler id costs (ids stay < 64).
+    const TraceContext ctx = outbound_context();
+    if (ctx.active()) {
+      buffer.archive.write_size((static_cast<std::uint64_t>(handler) << 1) |
+                                1u);
+      const std::uint64_t send_ts = telemetry::now_us();
+      buffer.archive.write_size(ctx.trace_id);
+      buffer.archive.write_size(ctx.span_id);
+      buffer.archive.write_size(ctx.hop);
+      buffer.archive.write_size(send_ts);
+      // Flow start anchors to whatever span is open on this rank at
+      // submission time (a phase span or the handler span that is
+      // sending a follow-up).
+      telemetry_.add_trace_event(make_flow_event(
+          's', handlers_[handler].label, send_ts, ctx.span_id));
+      telemetry_.add(c_traced_sends_);
     } else {
-      buffer.archive.write_size(handler);
+      buffer.archive.write_size(static_cast<std::uint64_t>(handler) << 1);
     }
     serial::pack(buffer.archive, args...);
     const std::size_t message_bytes = buffer.archive.size() - before;
     // Mailbox accounting mirrors the archive's logical size: charged as
     // messages pack, discharged when flush_to() hands the payload to the
-    // transport. Compiles away (empty MemTag) under DNND_TELEMETRY=OFF.
+    // transport.
     t_mailbox_.add(static_cast<std::int64_t>(message_bytes));
     ++buffer.message_count;
     world_->note_messages_submitted(1);
@@ -346,8 +339,7 @@ class Communicator {
 
   /// Per-rank telemetry sink (metrics + trace). Engines and services
   /// built on this communicator register their metrics here so one merge
-  /// per rank collects the whole stack. All methods are no-ops when the
-  /// library is built with DNND_TELEMETRY=OFF.
+  /// per rank collects the whole stack.
   [[nodiscard]] telemetry::Telemetry& telemetry() noexcept {
     return telemetry_;
   }
@@ -453,7 +445,7 @@ class Communicator {
   MessageStats stats_;
   std::uint64_t async_count_ = 0;
 
-  // -- telemetry (all recording no-ops under DNND_TELEMETRY=OFF) ---------
+  // -- telemetry ---------------------------------------------------------
   telemetry::Telemetry telemetry_;
   std::vector<telemetry::MetricId> recv_counters_;  ///< per handler id
   telemetry::MetricId g_inbox_depth_ = 0;
@@ -462,7 +454,7 @@ class Communicator {
   telemetry::MetricId c_acks_sent_ = 0;
   telemetry::MetricId c_acks_received_ = 0;
 
-  // -- causal tracing state (only exercised when kEnabled) ---------------
+  // -- causal tracing state ----------------------------------------------
   std::uint64_t trace_sample_period_ = 0;
   std::uint64_t root_countdown_ = 0;
   std::uint64_t trace_seq_ = 0;

@@ -12,7 +12,6 @@ namespace dnnd::comm {
 
 Environment::Environment(Config config)
     : config_(config),
-      sampler_(config.timeseries_tick_us),
       epoch_us_(telemetry::now_us()) {
   if (config_.num_ranks < 1) {
     throw std::invalid_argument("Environment: num_ranks < 1");
@@ -62,17 +61,10 @@ void Environment::execute_phase(const std::function<void(int)>& fn) {
     run_threaded(fn);
   }
   ensure_all_alive();
-  // Tick-driven snapshots happen at phase boundaries (quiescent state), so
-  // a snapshot never observes a rank mid-handler. maybe_sample is a single
-  // compare when the tick period is 0 or not yet elapsed.
-  if constexpr (telemetry::kEnabled) {
-    sync_memory_gauges();
-    sampler_.maybe_sample("tick");
-  }
+  sync_memory_gauges();
 }
 
 void Environment::sync_memory_gauges() const {
-  if constexpr (!telemetry::kEnabled) return;
   for (const auto& comm : comms_) comm->telemetry().sync_memory();
   const telemetry::ProcessMemory proc = telemetry::read_process_memory();
   auto& tel0 = comms_.front()->telemetry();
@@ -107,14 +99,12 @@ void Environment::run_sequential(const std::function<void(int)>& fn) {
     // strands messages keeps this loop alive until a detector fires.
     for (auto& comm : comms_) comm->check_failures();
   }
-  if constexpr (telemetry::kEnabled) {
-    // The sequential driver drains all ranks on one thread, so each rank
-    // is attributed the shared drain time (the cooperative-schedule
-    // equivalent of every rank sitting in the barrier together).
-    const double seconds = drain_timer.elapsed_s();
-    for (int r = 0; r < config_.num_ranks; ++r) {
-      record_barrier_wait(r, seconds);
-    }
+  // The sequential driver drains all ranks on one thread, so each rank is
+  // attributed the shared drain time (the cooperative-schedule equivalent
+  // of every rank sitting in the barrier together).
+  const double seconds = drain_timer.elapsed_s();
+  for (int r = 0; r < config_.num_ranks; ++r) {
+    record_barrier_wait(r, seconds);
   }
 }
 
@@ -153,23 +143,17 @@ void Environment::ensure_all_alive() const {
 }
 
 void Environment::record_barrier_wait(int rank, double seconds) {
-  if constexpr (!telemetry::kEnabled) {
-    (void)rank;
-    (void)seconds;
-    return;
-  } else {
-    const auto r = static_cast<std::size_t>(rank);
-    const double us = seconds * 1e6;
-    comms_[r]->telemetry().record_clamped(h_barrier_wait_[r], us);
-    const std::uint64_t end = telemetry::now_us();
-    const auto dur = static_cast<std::uint64_t>(us);
-    telemetry::TraceEvent e;
-    e.name = "barrier_wait";
-    e.category = "comm";
-    e.ts_us = end > dur ? end - dur : 0;
-    e.dur_us = dur;
-    comms_[r]->telemetry().add_trace_event(std::move(e));
-  }
+  const auto r = static_cast<std::size_t>(rank);
+  const double us = seconds * 1e6;
+  comms_[r]->telemetry().record_clamped(h_barrier_wait_[r], us);
+  const std::uint64_t end = telemetry::now_us();
+  const auto dur = static_cast<std::uint64_t>(us);
+  telemetry::TraceEvent e;
+  e.name = "barrier_wait";
+  e.category = "comm";
+  e.ts_us = end > dur ? end - dur : 0;
+  e.dur_us = dur;
+  comms_[r]->telemetry().add_trace_event(std::move(e));
 }
 
 MessageStats Environment::aggregate_stats() const {
@@ -205,9 +189,8 @@ telemetry::MetricsRegistry Environment::aggregate_metrics() const {
 void Environment::write_metrics_json(std::ostream& os) const {
   const MessageStats stats = aggregate_stats();
   const TransportCounters transport = aggregate_transport_counters();
-  os << "{\"schema\":\"dnnd.metrics.v1\",\"enabled\":"
-     << (telemetry::kEnabled ? "true" : "false")
-     << ",\"ranks\":" << config_.num_ranks << ",\"handlers\":[";
+  os << "{\"schema\":\"dnnd.metrics.v1\",\"ranks\":" << config_.num_ranks
+     << ",\"handlers\":[";
   bool first = true;
   for (const auto& h : stats.handlers()) {
     if (!first) os << ',';
@@ -251,7 +234,7 @@ void Environment::write_chrome_trace(std::ostream& os) const {
 }
 
 void Environment::write_timeseries_json(std::ostream& os) const {
-  sampler_.write_json(os, telemetry::kEnabled, epoch_us_);
+  sampler_.write_json(os, epoch_us_);
 }
 
 void Environment::export_telemetry(const std::string& metrics_path,

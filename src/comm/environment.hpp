@@ -73,15 +73,8 @@ struct Config {
   std::uint32_t heartbeat_period_ticks = 8;
   /// Causal-tracing sample period: every Nth root message starts a traced
   /// chain (flow events + handler child spans in trace.json). 0 disables
-  /// tracing — zero trace bytes on the wire. Ignored when the library is
-  /// built with DNND_TELEMETRY=OFF.
+  /// tracing — zero trace bytes on the wire.
   std::uint64_t trace_sample_period = 0;
-  /// Time-series tick: when non-zero, the driver snapshots every
-  /// registered counter/gauge at most once per this many microseconds (at
-  /// phase boundaries). Explicit snapshots (e.g. the runner's
-  /// per-iteration hook) are independent of the tick. 0 disables the tick
-  /// path at the cost of a single integer compare per barrier.
-  std::uint64_t timeseries_tick_us = 0;
 };
 
 class Environment {
@@ -122,34 +115,25 @@ class Environment {
   }
 
   /// Metrics registries of all ranks merged by name (counters sum,
-  /// gauges max, histograms bucket-wise sum). Empty when the library is
-  /// built with DNND_TELEMETRY=OFF.
+  /// gauges max, histograms bucket-wise sum).
   [[nodiscard]] telemetry::MetricsRegistry aggregate_metrics() const;
 
   /// Time-series sampler attached to every rank's registry. Callers (the
-  /// NN-Descent runner) take explicit snapshots via sample_timeseries();
-  /// the driver additionally ticks it at phase boundaries when
-  /// Config::timeseries_tick_us is non-zero.
+  /// NN-Descent runner) take snapshots via sample_timeseries().
   [[nodiscard]] telemetry::Sampler& sampler() noexcept { return sampler_; }
 
   /// Takes one labelled snapshot of every rank's counters/gauges now.
-  /// Compiles to nothing under DNND_TELEMETRY=OFF — the document is then
-  /// emitted with zero snapshots (schema stays valid; tooling sees no
-  /// data, not a parse error).
   void sample_timeseries(const std::string& label) {
-    if constexpr (telemetry::kEnabled) {
-      sync_memory_gauges();
-      sampler_.sample(label);
-    }
+    sync_memory_gauges();
+    sampler_.sample(label);
   }
 
   /// Publishes every rank's memory ledger into its registry as mem.*
   /// byte gauges (value = current, peak = ledger high-water) and refreshes
   /// rank 0's process-wide RSS gauges from /proc/self/status. Called at
   /// phase boundaries, before every time-series snapshot, and before the
-  /// metrics exporters, so exported gauges are never stale. No-op under
-  /// DNND_TELEMETRY=OFF. Const because exporters are const (the registries
-  /// live behind unique_ptrs).
+  /// metrics exporters, so exported gauges are never stale. Const because
+  /// exporters are const (the registries live behind unique_ptrs).
   void sync_memory_gauges() const;
 
   /// Writes the captured snapshots as a dnnd.timeseries.v1 document,
@@ -157,11 +141,9 @@ class Environment {
   void write_timeseries_json(std::ostream& os) const;
 
   /// Writes the merged machine-readable metrics document:
-  ///   {"schema":"dnnd.metrics.v1","enabled":...,"ranks":N,
+  ///   {"schema":"dnnd.metrics.v1","ranks":N,
   ///    "handlers":[per-label send counters],"transport":{...},
-  ///    "metrics":{merged registry}}
-  /// With DNND_TELEMETRY=OFF the document is still valid JSON (enabled
-  /// false, empty metrics) so downstream tooling never special-cases.
+  ///    "metrics":{merged registry},"per_rank":[...]}
   void write_metrics_json(std::ostream& os) const;
 
   /// Writes all ranks' trace buffers as one Chrome trace (catapult JSON;
@@ -198,7 +180,7 @@ class Environment {
   void ensure_all_alive() const;
 
   /// Records one barrier drain into rank `r`'s telemetry (histogram +
-  /// trace event). No-op under DNND_TELEMETRY=OFF.
+  /// trace event).
   void record_barrier_wait(int rank, double seconds);
 
   Config config_;

@@ -23,12 +23,11 @@
 //
 // Telemetry: an optional sink counts one increment per executed task
 // *from the executing thread* (worker or caller) — this is the exercise
-// for MetricsRegistry's relaxed-atomic counters; the OFF facade compiles
-// the add to nothing. Sections given a span name additionally emit one
-// trace event per participating thread (tid 0 = the rank's driver
-// thread, tid 1.. = pool workers), stamped by the caller after the
-// section's join, so the trace shows per-thread busy intervals without
-// concurrent TraceBuffer writes.
+// for MetricsRegistry's relaxed-atomic counters. Sections given a span
+// name additionally emit one trace event per participating thread (tid 0
+// = the rank's driver thread, tid 1.. = pool workers), stamped by the
+// caller after the section's join, so the trace shows per-thread busy
+// intervals without concurrent TraceBuffer writes.
 #pragma once
 
 #include <atomic>
@@ -115,8 +114,7 @@ class ThreadPool {
       return;
     }
     using Body = std::remove_reference_t<Fn>;
-    const bool tracing =
-        telemetry::kEnabled && span_name != nullptr && sink_ != nullptr;
+    const bool tracing = span_name != nullptr && sink_ != nullptr;
     {
       const std::lock_guard<std::mutex> lock(m_);
       job_ctx_ = const_cast<void*>(static_cast<const void*>(&fn));

@@ -42,10 +42,11 @@ struct Datagram {
   /// Number of application-level messages packed in `payload`; the World
   /// tracks these for termination detection.
   std::uint32_t message_count = 0;
-  /// Telemetry stamp set at post() time by the sending communicator
-  /// (telemetry builds only; 0 otherwise). Transport *metadata*, like an
-  /// MPI envelope's internal bookkeeping — never serialized payload
-  /// bytes, so it does not count toward the Fig. 4 byte accounting.
+  /// Telemetry stamp set at post() time by the sending communicator on
+  /// data datagrams (0 on acks and heartbeats). Transport *metadata*,
+  /// like an MPI envelope's internal bookkeeping — never serialized
+  /// payload bytes, so it does not count toward the Fig. 4 byte
+  /// accounting.
   std::uint64_t post_ts_us = 0;
   std::vector<std::byte> payload;
 };

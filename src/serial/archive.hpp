@@ -114,9 +114,10 @@ class InArchive {
   template <WireTrivial T>
   std::vector<T> read_vector() {
     const std::uint64_t n = read_size();
-    require(n * sizeof(T));
+    require_elements<T>(n);
     std::vector<T> values(n);
-    std::memcpy(values.data(), cursor_, n * sizeof(T));
+    // An empty vector's data() may be null, and memcpy to null is UB.
+    if (n != 0) std::memcpy(values.data(), cursor_, n * sizeof(T));
     cursor_ += n * sizeof(T);
     return values;
   }
@@ -127,9 +128,9 @@ class InArchive {
   template <WireTrivial T>
   void read_into(std::vector<T>& scratch) {
     const std::uint64_t n = read_size();
-    require(n * sizeof(T));
+    require_elements<T>(n);
     scratch.resize(n);
-    std::memcpy(scratch.data(), cursor_, n * sizeof(T));
+    if (n != 0) std::memcpy(scratch.data(), cursor_, n * sizeof(T));
     cursor_ += n * sizeof(T);
   }
 
@@ -151,6 +152,13 @@ class InArchive {
     if (bytes > static_cast<std::uint64_t>(end_ - cursor_)) {
       throw ArchiveError("archive underflow");
     }
+  }
+
+  /// require() for `n` elements of T. Divides instead of multiplying, so
+  /// a malformed length cannot wrap n * sizeof(T) to a small byte count.
+  template <typename T>
+  void require_elements(std::uint64_t n) const {
+    if (n > remaining() / sizeof(T)) throw ArchiveError("archive underflow");
   }
 
   const std::byte* cursor_;

@@ -71,13 +71,9 @@ bool skip_exact_diff(const std::string& name,
 }
 
 /// Flattens the deterministic counters of a dnnd.metrics.v1 document into
-/// a single name → value map with namespaced keys. Registry counters are
-/// included only when `with_registry` — handler/transport message stats
-/// are always-on, but the metrics registry compiles to a no-op under
-/// DNND_TELEMETRY=OFF, so cross-flavour diffs must not treat its absence
-/// as a regression.
-std::map<std::string, double> flatten_counters(const Value& doc,
-                                               bool with_registry) {
+/// a single name → value map with namespaced keys: handler/transport
+/// message stats and the registry counters.
+std::map<std::string, double> flatten_counters(const Value& doc) {
   std::map<std::string, double> out;
   for (const auto& h : doc.at("handlers").as_array()) {
     const std::string label = h.at("label").as_string();
@@ -89,13 +85,11 @@ std::map<std::string, double> flatten_counters(const Value& doc,
   for (const auto& [key, value] : doc.at("transport").as_object()) {
     out["transport." + key] = value.as_number();
   }
-  if (with_registry) {
-    const auto units = units_of(doc);
-    for (const auto& [name, value] :
-         doc.at("metrics").at("counters").as_object()) {
-      if (skip_exact_diff(name, units)) continue;
-      out["counter." + name] = value.as_number();
-    }
+  const auto units = units_of(doc);
+  for (const auto& [name, value] :
+       doc.at("metrics").at("counters").as_object()) {
+    if (skip_exact_diff(name, units)) continue;
+    out["counter." + name] = value.as_number();
   }
   return out;
 }
@@ -153,12 +147,6 @@ void diff_maps(const std::map<std::string, double>& base,
       report.only_in_current.push_back(name);
     }
   }
-}
-
-/// A document records whether telemetry was compiled in; tolerate legacy
-/// documents without the field by assuming enabled.
-bool doc_enabled(const Value& doc) {
-  return !doc.contains("enabled") || doc.at("enabled").as_bool();
 }
 
 }  // namespace
@@ -238,17 +226,13 @@ LoadReport analyze_load(const Value& trace_doc, double straggler_factor) {
 
 DiffReport diff_metrics(const Value& baseline, const Value& current,
                         double tolerance_pct, double mem_tolerance_pct) {
-  const bool registries = doc_enabled(baseline) && doc_enabled(current);
   if (mem_tolerance_pct < 0.0) mem_tolerance_pct = tolerance_pct;
   DiffReport report;
-  diff_maps(flatten_counters(baseline, registries),
-            flatten_counters(current, registries), tolerance_pct / 100.0,
+  diff_maps(flatten_counters(baseline), flatten_counters(current),
+            tolerance_pct / 100.0, report);
+  diff_maps(flatten_byte_gauge_peaks(baseline),
+            flatten_byte_gauge_peaks(current), mem_tolerance_pct / 100.0,
             report);
-  if (registries) {
-    diff_maps(flatten_byte_gauge_peaks(baseline),
-              flatten_byte_gauge_peaks(current), mem_tolerance_pct / 100.0,
-              report);
-  }
   // Violations first so a truncated terminal still shows what failed.
   std::stable_sort(report.deltas.begin(), report.deltas.end(),
                    [](const MetricDelta& a, const MetricDelta& b) {
@@ -299,8 +283,7 @@ std::int64_t gauge_value_or_zero(const Value& registry,
 
 MemoryReport analyze_memory(const Value& metrics_doc, double budget_gb) {
   MemoryReport report;
-  report.enabled = doc_enabled(metrics_doc);
-  if (!report.enabled || !metrics_doc.contains("per_rank")) return report;
+  if (!metrics_doc.contains("per_rank")) return report;
 
   std::map<std::string, SubsystemMemory> totals;
   for (const auto& entry : metrics_doc.at("per_rank").as_array()) {
@@ -365,7 +348,6 @@ MemoryReport analyze_memory(const Value& metrics_doc, double budget_gb) {
 
 TimeseriesSummary summarize_timeseries(const Value& timeseries_doc) {
   TimeseriesSummary summary;
-  summary.enabled = timeseries_doc.at("enabled").as_bool();
   const auto& snapshots = timeseries_doc.at("snapshots").as_array();
   summary.snapshots = snapshots.size();
   for (const auto& s : snapshots) {
@@ -460,10 +442,6 @@ std::string human_bytes(std::int64_t bytes) {
 }  // namespace
 
 void print_memory_report(std::ostream& os, const MemoryReport& report) {
-  if (!report.enabled) {
-    os << "memory: telemetry disabled in this run — no ledger data\n";
-    return;
-  }
   os << "memory ledger (" << report.ranks.size() << " ranks)\n";
   os << "  subsystem peaks (summed across ranks):\n";
   for (const auto& s : report.subsystems) {
@@ -519,8 +497,7 @@ void print_timeseries_summary(std::ostream& os,
                               const TimeseriesSummary& summary) {
   os << "timeseries: " << summary.snapshots << " snapshots ("
      << summary.iteration_snapshots << " per-iteration) over "
-     << summary.span_us << " us"
-     << (summary.enabled ? "" : " [telemetry disabled]") << '\n';
+     << summary.span_us << " us\n";
 }
 
 std::optional<util::json::Value> load_json_file(const std::string& path) {

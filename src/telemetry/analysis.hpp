@@ -100,11 +100,9 @@ struct DiffReport {
 };
 
 /// Diffs two dnnd.metrics.v1 documents. `tolerance_pct` is the allowed
-/// relative drift in percent (0 = exact match required). When either
-/// document was produced by a DNND_TELEMETRY=OFF build ("enabled":false),
-/// registry counters are excluded from both sides — the always-on
-/// handler/transport message stats are still compared exactly, which is
-/// what lets one committed baseline gate both build flavours.
+/// relative drift in percent (0 = exact match required). It covers the
+/// handler/transport message stats and the deterministic registry
+/// counters.
 ///
 /// Byte-valued gauges (the memory ledger's mem.* peaks, per the units
 /// map) are compared at `mem_tolerance_pct` instead: byte footprints are
@@ -135,7 +133,6 @@ struct RankMemory {
 
 /// The memory-ledger analysis of one dnnd.metrics.v1 document.
 struct MemoryReport {
-  bool enabled = false;           ///< telemetry compiled into the run
   std::vector<RankMemory> ranks;  ///< sorted by rank id
   std::vector<SubsystemMemory> subsystems;  ///< summed across ranks, by name
   std::int64_t total_tagged_peak = 0;  ///< Σ over ranks of tagged_peak
@@ -165,7 +162,6 @@ struct MemoryReport {
                                           double budget_gb);
 
 struct TimeseriesSummary {
-  bool enabled = false;
   std::uint64_t snapshots = 0;
   std::uint64_t iteration_snapshots = 0;  ///< label == "iteration"
   std::uint64_t span_us = 0;              ///< last t_us − first t_us

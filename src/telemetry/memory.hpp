@@ -7,9 +7,6 @@
 //
 // Two client-facing handles exist:
 //   MemTag            — cheap copyable handle a subsystem charges against.
-//                       Under DNND_TELEMETRY=OFF it is an empty struct and
-//                       every charge compiles to nothing, so the memory
-//                       layer has literally zero overhead in that flavour.
 //   CountingAllocator — an STL-compatible allocator wrapping
 //                       std::allocator that charges a MemTag for every
 //                       allocate/deallocate. A default-constructed
@@ -21,10 +18,6 @@
 // (intern) happens at setup time from one thread; add/sub are safe from
 // any number of threads (relaxed atomics + CAS-max peak — NeighborList
 // rebuilds run inside pool workers).
-
-#ifndef DNND_TELEMETRY_ENABLED
-#define DNND_TELEMETRY_ENABLED 1
-#endif
 
 #include <atomic>
 #include <cstddef>
@@ -155,8 +148,6 @@ class MemoryLedger {
   std::unordered_map<std::string, MemTagId> index_;
 };
 
-#if DNND_TELEMETRY_ENABLED
-
 /// Handle a subsystem charges bytes against. Copyable and cheap; a
 /// default-constructed tag (no ledger) ignores every charge.
 class MemTag {
@@ -175,20 +166,6 @@ class MemTag {
   MemoryLedger* ledger_ = nullptr;
   MemTagId id_ = 0;
 };
-
-#else  // !DNND_TELEMETRY_ENABLED
-
-/// No-op flavour: an empty struct whose charges compile away entirely.
-class MemTag {
- public:
-  MemTag() = default;
-  MemTag(MemoryLedger*, MemTagId) noexcept {}
-  void add(std::int64_t) const noexcept {}
-  void sub(std::int64_t) const noexcept {}
-  [[nodiscard]] bool attached() const noexcept { return false; }
-};
-
-#endif  // DNND_TELEMETRY_ENABLED
 
 /// STL-compatible allocator charging a MemTag. Propagates on move and
 /// swap so storage travels with the allocator that charged it (never

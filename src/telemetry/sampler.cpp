@@ -8,8 +8,7 @@
 
 namespace dnnd::telemetry {
 
-Sampler::Sampler(std::uint64_t tick_period_us, Clock clock)
-    : tick_period_us_(tick_period_us), clock_(std::move(clock)) {
+Sampler::Sampler(Clock clock) : clock_(std::move(clock)) {
   if (!clock_) clock_ = [] { return now_us(); };
 }
 
@@ -45,28 +44,16 @@ void Sampler::sample(std::string_view label) {
     }
     snap.ranks.push_back(std::move(rs));
   }
-  last_sample_us_ = snap.t_us;
-  sampled_once_ = true;
   snapshots_.push_back(std::move(snap));
 }
 
-bool Sampler::maybe_sample(std::string_view label) {
-  if (tick_period_us_ == 0) return false;
-  const std::uint64_t now = clock_();
-  if (sampled_once_ && now - last_sample_us_ < tick_period_us_) return false;
-  sample(label);
-  return true;
-}
-
-void Sampler::write_json(std::ostream& os, bool enabled,
-                         std::uint64_t origin_us) const {
+void Sampler::write_json(std::ostream& os, std::uint64_t origin_us) const {
   using util::json::write_string;
   const auto rel = [origin_us](std::uint64_t ts) {
     return ts >= origin_us ? ts - origin_us : 0;
   };
-  os << "{\"schema\":\"dnnd.timeseries.v1\",\"enabled\":"
-     << (enabled ? "true" : "false") << ",\"ranks\":" << sources_.size()
-     << ",\"tick_us\":" << tick_period_us_ << ",\"snapshots\":[";
+  os << "{\"schema\":\"dnnd.timeseries.v1\",\"ranks\":" << sources_.size()
+     << ",\"snapshots\":[";
   bool first_snap = true;
   for (const Snapshot& snap : snapshots_) {
     if (!first_snap) os << ',';

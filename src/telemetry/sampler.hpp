@@ -1,19 +1,15 @@
-// Live time-series sampler: periodic snapshots of every registered
+// Live time-series sampler: labelled snapshots of every registered
 // counter and gauge, across all ranks, into timeseries.json.
 //
 // Aggregate metrics (metrics.json) answer "how much total"; the paper's
 // §4.4 congestion questions — does the batch cadence cause inbox bursts,
 // which rank's distance-eval counter stalls a barrier — need "how much,
 // when, on which rank". The Sampler provides that: the runner snapshots
-// after every NN-Descent iteration, and the Environment optionally
-// snapshots on a configurable wall-clock tick between phases.
+// after every NN-Descent iteration.
 //
 // Cost model: a snapshot walks each rank's registry once (setup-scale
-// metric counts, called once per iteration/tick — never on the message
-// hot path). With tick_period_us == 0 the tick path is a single integer
-// compare; under DNND_TELEMETRY=OFF the Environment never constructs
-// snapshots at all, so the class costs nothing beyond its definition
-// (it stays compiled and unit-testable, like the registry).
+// metric counts, called once per iteration — never on the message hot
+// path).
 //
 // Determinism: the clock is injectable (tests pin a fake clock), and
 // snapshots copy values in registration order, so for a fixed schedule of
@@ -49,7 +45,7 @@ struct RankSample {
 struct Snapshot {
   std::uint64_t t_us = 0;  ///< clock at snapshot time
   std::uint64_t seq = 0;   ///< 1-based snapshot index
-  std::string label;       ///< "iteration", "tick", or caller-provided
+  std::string label;       ///< "iteration" or caller-provided
   std::vector<RankSample> ranks;
 };
 
@@ -57,45 +53,33 @@ class Sampler {
  public:
   using Clock = std::function<std::uint64_t()>;
 
-  /// `tick_period_us` gates maybe_sample(): 0 disables the tick path
-  /// entirely (explicit sample() calls still record). `clock` defaults to
-  /// telemetry::now_us; tests inject a fake for determinism.
-  explicit Sampler(std::uint64_t tick_period_us = 0, Clock clock = {});
+  /// `clock` defaults to telemetry::now_us; tests inject a fake for
+  /// determinism.
+  explicit Sampler(Clock clock = {});
 
   /// Registers `registry` as rank `rank`'s source. Pointers must outlive
   /// the sampler; attach order defines the per-snapshot rank order.
   void attach(int rank, const MetricsRegistry* registry);
 
-  /// Takes a snapshot unconditionally (the per-iteration hook).
+  /// Takes a snapshot (the per-iteration hook).
   void sample(std::string_view label);
-
-  /// Takes a snapshot iff the tick period is non-zero and has elapsed
-  /// since the previous snapshot (any label). Returns whether it sampled.
-  bool maybe_sample(std::string_view label);
 
   [[nodiscard]] const std::vector<Snapshot>& snapshots() const noexcept {
     return snapshots_;
   }
-  [[nodiscard]] std::uint64_t tick_period_us() const noexcept {
-    return tick_period_us_;
-  }
   void clear() noexcept { snapshots_.clear(); }
 
   /// Emits the dnnd.timeseries.v1 document:
-  ///   {"schema":"dnnd.timeseries.v1","enabled":...,"ranks":N,
-  ///    "tick_us":...,"snapshots":[{"t_us":...,"seq":...,"label":...,
+  ///   {"schema":"dnnd.timeseries.v1","ranks":N,
+  ///    "snapshots":[{"t_us":...,"seq":...,"label":...,
   ///    "per_rank":[{"rank":r,"counters":{...},
   ///                 "gauges":{name:{"value":v,"peak":p}}},...]},...]}
   /// Timestamps are relative to `origin_us` (clamped at zero), matching
   /// the Chrome-trace export so the two artifacts share a timeline.
-  void write_json(std::ostream& os, bool enabled,
-                  std::uint64_t origin_us = 0) const;
+  void write_json(std::ostream& os, std::uint64_t origin_us = 0) const;
 
  private:
-  std::uint64_t tick_period_us_;
   Clock clock_;
-  std::uint64_t last_sample_us_ = 0;
-  bool sampled_once_ = false;
   std::vector<std::pair<int, const MetricsRegistry*>> sources_;
   std::vector<Snapshot> snapshots_;
 };

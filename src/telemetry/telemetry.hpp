@@ -1,23 +1,9 @@
-// Per-rank telemetry facade and the DNND_TELEMETRY compile-time gate.
+// Per-rank telemetry facade.
 //
 // Instrumented code (comm layer, engines, drivers, query service) talks
 // to this class only: register metric ids at setup time, then add / set /
-// record / span on the hot path. The CMake option DNND_TELEMETRY selects
-// between two definitions with identical signatures:
-//
-//   ON  (default)  Telemetry owns a MetricsRegistry + TraceBuffer and
-//                  forwards every call.
-//   OFF            every member is an inline empty body — calls compile
-//                  to nothing, spans never read the clock, and the hot
-//                  path is byte-for-byte the uninstrumented one. The
-//                  underlying registry/trace classes still exist (they
-//                  are plain data structures and stay unit-testable);
-//                  only the recording facade is compiled away.
-//
-// Callers that need to branch on the configuration at compile time can
-// use `if constexpr (telemetry::kEnabled)`; this is how optional probes
-// with a real cost (e.g. sampling a mutex-guarded queue depth) are kept
-// out of DNND_TELEMETRY=OFF builds entirely.
+// record / span on the hot path. Telemetry owns a MetricsRegistry, a
+// MemoryLedger and a TraceBuffer and forwards every call to them.
 #pragma once
 
 #include <string_view>
@@ -26,15 +12,10 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
-#ifndef DNND_TELEMETRY_ENABLED
-#define DNND_TELEMETRY_ENABLED 1
-#endif
-
 namespace dnnd::telemetry {
 
-inline constexpr bool kEnabled = (DNND_TELEMETRY_ENABLED != 0);
-
-#if DNND_TELEMETRY_ENABLED
+// Always true: telemetry has one build. The benchmark asserts it.
+inline constexpr bool kEnabled = true;
 
 class Telemetry {
  public:
@@ -113,59 +94,5 @@ class Telemetry {
   MemoryLedger memory_;
   TraceBuffer trace_;
 };
-
-#else  // DNND_TELEMETRY_ENABLED == 0: every member is a no-op
-
-class Telemetry {
- public:
-  MetricId counter(std::string_view,
-                   MetricUnit = MetricUnit::kCount) noexcept {
-    return 0;
-  }
-  MetricId gauge(std::string_view, MetricUnit = MetricUnit::kCount) noexcept {
-    return 0;
-  }
-  MetricId histogram(std::string_view,
-                     MetricUnit = MetricUnit::kCount) noexcept {
-    return 0;
-  }
-
-  void add(MetricId, std::uint64_t = 1) noexcept {}
-  void set(MetricId, std::int64_t) noexcept {}
-  void set_with_peak(MetricId, std::int64_t, std::int64_t) noexcept {}
-  void record(MetricId, std::uint64_t) noexcept {}
-  void record_clamped(MetricId, double) noexcept {}
-
-  /// Inert tag: every charge through it compiles to nothing.
-  [[nodiscard]] MemTag mem_tag(std::string_view) noexcept { return {}; }
-  void sync_memory() noexcept {}
-
-  [[nodiscard]] TraceSpan span(const char*, const char*,
-                               std::uint32_t = 0) noexcept {
-    return TraceSpan{};  // null buffer: never reads the clock
-  }
-  void add_trace_event(TraceEvent) noexcept {}
-
-  // Read-only views stay available so exporters compile unchanged; they
-  // see permanently empty state. The mutable metrics() accessor is
-  // deliberately absent: writing through the registry bypasses the no-op
-  // gate and will not compile under DNND_TELEMETRY=OFF.
-  [[nodiscard]] const MetricsRegistry& metrics() const noexcept {
-    static const MetricsRegistry kEmpty;
-    return kEmpty;
-  }
-  [[nodiscard]] const MemoryLedger& memory() const noexcept {
-    static const MemoryLedger kEmpty;
-    return kEmpty;
-  }
-  [[nodiscard]] const TraceBuffer& trace() const noexcept {
-    static const TraceBuffer kEmpty;
-    return kEmpty;
-  }
-
-  void reset() noexcept {}
-};
-
-#endif  // DNND_TELEMETRY_ENABLED
 
 }  // namespace dnnd::telemetry

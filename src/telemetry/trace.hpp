@@ -93,8 +93,8 @@ class TraceBuffer {
 };
 
 /// RAII span: records one complete event into `buffer` on destruction.
-/// A null buffer makes the span a no-op (no clock reads) — that is how
-/// the DNND_TELEMETRY=OFF facade compiles spans away.
+/// A null buffer (default-constructed or moved-from) makes the span a
+/// no-op that never reads the clock.
 class TraceSpan {
  public:
   TraceSpan() = default;

@@ -83,7 +83,7 @@ TEST(AnalyzeLoad, BalancedRunFlagsNoStragglers) {
 
 std::string metrics_doc(int msgs, int bytes, int retransmits, int evals) {
   std::ostringstream os;
-  os << R"({"schema":"dnnd.metrics.v1","enabled":true,"ranks":2,"handlers":[)"
+  os << R"({"schema":"dnnd.metrics.v1","ranks":2,"handlers":[)"
      << R"({"label":"ping","remote_messages":)" << msgs
      << R"(,"remote_bytes":)" << bytes
      << R"(,"local_messages":0,"local_bytes":0}],)"
@@ -155,7 +155,7 @@ std::string memory_doc(int features_peak_r0, int features_peak_r1,
        << R"("histograms":{},"units":{"mem.engine.features":"bytes",)"
        << R"("mem.pmem.arena.bytes":"bytes"}}})";
   };
-  os << R"({"schema":"dnnd.metrics.v1","enabled":true,"ranks":2,)"
+  os << R"({"schema":"dnnd.metrics.v1","ranks":2,)"
      << R"("handlers":[],"transport":{"retransmits":0},)"
      << R"("metrics":{"counters":{"engine.wall_clock":)" << time_counter
      << R"(,"engine.distance_evals":5000},"gauges":{)"
@@ -216,7 +216,6 @@ TEST(AnalyzeMemory, BreaksDownRanksComputesSkewAndProjection) {
   // arena gauge is listed but excluded from budget math.
   const auto report =
       analyze_memory(json::parse(memory_doc(3000, 1000, 1, 100)), 1.0);
-  ASSERT_TRUE(report.enabled);
   ASSERT_EQ(report.ranks.size(), 2u);
   EXPECT_EQ(report.ranks[0].tagged_peak, 3000);
   EXPECT_EQ(report.ranks[1].tagged_peak, 1000);
@@ -241,27 +240,15 @@ TEST(AnalyzeMemory, BreaksDownRanksComputesSkewAndProjection) {
             static_cast<std::uint64_t>(budget * 100.0 / 3000.0));
 }
 
-TEST(AnalyzeMemory, DisabledDocumentYieldsEmptyReport) {
-  const auto doc = json::parse(
-      R"({"schema":"dnnd.metrics.v1","enabled":false,"ranks":2,)"
-      R"("handlers":[],"transport":{},"metrics":{"counters":{},)"
-      R"("gauges":{},"histograms":{}},"per_rank":[]})");
-  const auto report = dnnd::telemetry::analyze_memory(doc, 16.0);
-  EXPECT_FALSE(report.enabled);
-  EXPECT_TRUE(report.ranks.empty());
-  EXPECT_EQ(report.total_tagged_peak, 0);
-}
-
 TEST(SummarizeTimeseries, CountsSnapshotsAndIterations) {
   const auto doc = json::parse(
-      R"({"schema":"dnnd.timeseries.v1","enabled":true,"ranks":2,"tick_us":0,
+      R"({"schema":"dnnd.timeseries.v1","ranks":2,
           "snapshots":[
             {"t_us":100,"seq":1,"label":"iteration","per_rank":[]},
-            {"t_us":200,"seq":2,"label":"tick","per_rank":[]},
+            {"t_us":200,"seq":2,"label":"final","per_rank":[]},
             {"t_us":450,"seq":3,"label":"iteration","per_rank":[]}
           ]})");
   const auto summary = summarize_timeseries(doc);
-  EXPECT_TRUE(summary.enabled);
   EXPECT_EQ(summary.snapshots, 3u);
   EXPECT_EQ(summary.iteration_snapshots, 2u);
   EXPECT_EQ(summary.span_us, 350u);

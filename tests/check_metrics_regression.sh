@@ -8,11 +8,10 @@
 #   - sequential phase driver (the Environment default)
 #   - DNND_TRACE_SAMPLE_PERIOD=0, so no traced envelope bytes — trace
 #     varints encode wall-clock timestamps and would make remote_bytes
-#     vary run to run. With tracing off, an ON build's envelopes are
-#     byte-identical to an OFF build's, so the SAME baseline gates both
-#     matrix flavours: if a DNND_TELEMETRY=OFF binary ever produced
-#     different handler byte counts, telemetry would be leaking wire
-#     bytes and this gate would fail.
+#     vary run to run. With tracing off each envelope is the plain
+#     one-byte handler id, so handler byte counts are exact: if telemetry
+#     ever leaked wire bytes into an untraced message, this gate would
+#     fail.
 #
 # Usage:
 #   tests/check_metrics_regression.sh <build-dir>            # gate
@@ -56,12 +55,11 @@ fi
 echo "== metrics regression gate ($build_dir) =="
 # Deterministic counters gate at 0%; memory-ledger byte peaks gate at a
 # loose 25% (capacities shift with allocator growth policy, not behaviour —
-# a subsystem that doubles its footprint still fails). On OFF builds both
-# documents carry enabled:false and the mem.* comparison self-excludes.
+# a subsystem that doubles its footprint still fails).
 "$cli" stats --diff "$baseline" "$work/run.metrics.json" \
   --tolerance 0 --mem-tolerance 25
 
-# Smoke the memory report path: must render (or report telemetry-disabled)
-# without erroring on every matrix flavour.
+# Smoke the memory report path: must render without erroring in every
+# matrix configuration.
 echo "== memory report smoke ($build_dir) =="
 "$cli" stats "$work/run" --memory --budget-gb 16

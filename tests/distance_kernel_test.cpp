@@ -386,14 +386,12 @@ TEST(BuildBitIdentity, DistributedBuildAndMetricsMatchAcrossDispatch) {
   const auto scalar_doc = run(core::KernelDispatch::kForceScalar, scalar_graph);
   const auto simd_doc = run(core::KernelDispatch::kForceSimd, simd_graph);
   EXPECT_EQ(scalar_graph, simd_graph);
-  if constexpr (telemetry::kEnabled) {
-    const auto evals = [](const util::json::Value& doc) {
-      return doc.at("metrics").at("counters").at("engine.distance_evals")
-          .as_number();
-    };
-    EXPECT_GT(evals(scalar_doc), 0.0);
-    EXPECT_EQ(evals(scalar_doc), evals(simd_doc));
-  }
+  const auto evals = [](const util::json::Value& doc) {
+    return doc.at("metrics").at("counters").at("engine.distance_evals")
+        .as_number();
+  };
+  EXPECT_GT(evals(scalar_doc), 0.0);
+  EXPECT_EQ(evals(scalar_doc), evals(simd_doc));
 }
 
 // ---- FeatureStore satellite fixes --------------------------------------

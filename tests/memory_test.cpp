@@ -5,10 +5,6 @@
 // relies on propagate_on_container_copy_assignment = false), subsystem
 // accounting through FeatureStore / DenseBlockStore / NeighborList, and
 // the ledger-vs-RSS sanity bound against /proc ground truth.
-//
-// MemoryLedger and CountingAllocator are compiled in both
-// DNND_TELEMETRY flavours, so most tests run unconditionally; only the
-// facade-dependent ones branch on telemetry::kEnabled.
 #include <cstdint>
 #include <sstream>
 #include <thread>
@@ -159,20 +155,15 @@ TEST(CountingAllocatorUnit, VectorChargesAndDischargesItsTag) {
   {
     std::vector<int, CountingAllocator<int>> v{CountingAllocator<int>(tag)};
     v.reserve(100);
-    if constexpr (dnnd::telemetry::kEnabled) {
-      EXPECT_EQ(ledger.current_bytes("mem.vec"),
-                static_cast<std::int64_t>(100 * sizeof(int)));
-    }
+    EXPECT_EQ(ledger.current_bytes("mem.vec"),
+              static_cast<std::int64_t>(100 * sizeof(int)));
     v.assign(100, 7);
     EXPECT_EQ(v.size(), 100u);
   }
-  // Destruction returns every charged byte regardless of flavour (an
-  // OFF-build tag is a no-op on both sides, so the balance still holds).
+  // Destruction returns every charged byte.
   EXPECT_EQ(ledger.current_bytes("mem.vec"), 0);
-  if constexpr (dnnd::telemetry::kEnabled) {
-    EXPECT_GE(ledger.peak_bytes("mem.vec"),
-              static_cast<std::int64_t>(100 * sizeof(int)));
-  }
+  EXPECT_GE(ledger.peak_bytes("mem.vec"),
+            static_cast<std::int64_t>(100 * sizeof(int)));
 }
 
 TEST(CountingAllocatorUnit, MoveKeepsChargeWithStorage) {
@@ -202,10 +193,8 @@ TEST(CountingAllocatorUnit, RetagMovesExistingContentsOntoTag) {
   dnnd::telemetry::retag(v, tag);
   ASSERT_EQ(v.size(), 256u);
   EXPECT_EQ(v[0], 9);
-  if constexpr (dnnd::telemetry::kEnabled) {
-    EXPECT_GE(ledger.current_bytes("mem.retagged"),
-              static_cast<std::int64_t>(256 * sizeof(int)));
-  }
+  EXPECT_GE(ledger.current_bytes("mem.retagged"),
+            static_cast<std::int64_t>(256 * sizeof(int)));
   v = {};
   v.shrink_to_fit();
   EXPECT_EQ(ledger.current_bytes("mem.retagged"), 0);
@@ -223,13 +212,9 @@ TEST(SubsystemAccounting, FeatureStoreChargesValuesOffsetsAndIndex) {
   const std::vector<float> row(16, 1.5f);
   for (std::uint64_t id = 0; id < 100; ++id) store.add(id, row);
 
-  if constexpr (dnnd::telemetry::kEnabled) {
-    // At minimum the 100x16 floats; offsets and the id index ride on top.
-    EXPECT_GE(ledger.current_bytes("mem.features"),
-              static_cast<std::int64_t>(100 * 16 * sizeof(float)));
-  } else {
-    EXPECT_EQ(ledger.current_bytes("mem.features"), 0);
-  }
+  // At minimum the 100x16 floats; offsets and the id index ride on top.
+  EXPECT_GE(ledger.current_bytes("mem.features"),
+            static_cast<std::int64_t>(100 * 16 * sizeof(float)));
 }
 
 TEST(SubsystemAccounting, DenseBlockStoreBalancesAcrossMoveAndDestroy) {
@@ -240,17 +225,12 @@ TEST(SubsystemAccounting, DenseBlockStoreBalancesAcrossMoveAndDestroy) {
     store.set_mem_tag(tag);
     const std::vector<float> row(20, 2.0f);
     for (std::uint64_t id = 0; id < 50; ++id) store.add(id, row);
-    if constexpr (dnnd::telemetry::kEnabled) {
-      EXPECT_GE(ledger.current_bytes("mem.dense"),
-                static_cast<std::int64_t>(50 * 20 * sizeof(float)));
-    }
+    EXPECT_GE(ledger.current_bytes("mem.dense"),
+              static_cast<std::int64_t>(50 * 20 * sizeof(float)));
     // Move: exactly one owner charges at any time.
     dnnd::core::DenseBlockStore<float> moved = std::move(store);
-    const auto after_move = ledger.current_bytes("mem.dense");
-    if constexpr (dnnd::telemetry::kEnabled) {
-      EXPECT_GE(after_move,
-                static_cast<std::int64_t>(50 * 20 * sizeof(float)));
-    }
+    EXPECT_GE(ledger.current_bytes("mem.dense"),
+              static_cast<std::int64_t>(50 * 20 * sizeof(float)));
     EXPECT_EQ(moved.size(), 50u);
   }
   EXPECT_EQ(ledger.current_bytes("mem.dense"), 0);  // destructor discharges
@@ -261,10 +241,8 @@ TEST(SubsystemAccounting, NeighborListChargesItsHeap) {
   const MemTag tag(&ledger, ledger.tag("mem.graph"));
   {
     dnnd::core::NeighborList list(32, tag);
-    if constexpr (dnnd::telemetry::kEnabled) {
-      EXPECT_GE(ledger.current_bytes("mem.graph"),
-                static_cast<std::int64_t>(32 * sizeof(dnnd::core::Neighbor)));
-    }
+    EXPECT_GE(ledger.current_bytes("mem.graph"),
+              static_cast<std::int64_t>(32 * sizeof(dnnd::core::Neighbor)));
     for (std::uint64_t id = 0; id < 32; ++id) {
       list.update(id, static_cast<float>(id), true);
     }
@@ -274,29 +252,23 @@ TEST(SubsystemAccounting, NeighborListChargesItsHeap) {
 }
 
 // ---------------------------------------------------------------------------
-// Facade gate and environment export
+// Telemetry facade and environment export
 // ---------------------------------------------------------------------------
 
 TEST(MemoryFacade, MemTagChargesIffEnabled) {
   dnnd::telemetry::Telemetry t;
   const MemTag tag = t.mem_tag("mem.test");
   tag.add(1024);
-  if constexpr (dnnd::telemetry::kEnabled) {
-    EXPECT_TRUE(tag.attached());
-    EXPECT_EQ(t.memory().current_bytes("mem.test"), 1024);
-    t.sync_memory();
-    EXPECT_EQ(t.metrics().gauge_value("mem.test"), 1024);
-    EXPECT_EQ(t.metrics().gauge_peak("mem.test"), 1024);
-    EXPECT_EQ(t.metrics().unit_of("mem.test"),
-              dnnd::telemetry::MetricUnit::kBytes);
-  } else {
-    EXPECT_FALSE(tag.attached());
-    EXPECT_EQ(t.memory().size(), 0u);
-  }
+  EXPECT_TRUE(tag.attached());
+  EXPECT_EQ(t.memory().current_bytes("mem.test"), 1024);
+  t.sync_memory();
+  EXPECT_EQ(t.metrics().gauge_value("mem.test"), 1024);
+  EXPECT_EQ(t.metrics().gauge_peak("mem.test"), 1024);
+  EXPECT_EQ(t.metrics().unit_of("mem.test"),
+            dnnd::telemetry::MetricUnit::kBytes);
 }
 
 TEST(MemoryFacade, SyncCarriesLedgerPeakPastCurrent) {
-  if constexpr (!dnnd::telemetry::kEnabled) GTEST_SKIP();
   dnnd::telemetry::Telemetry t;
   const MemTag tag = t.mem_tag("mem.spiky");
   tag.add(1000);
@@ -316,19 +288,12 @@ TEST(MemoryEnvironment, MetricsJsonCarriesMemGaugesWhenEnabled) {
   std::ostringstream os;
   env.write_metrics_json(os);
   const std::string doc = os.str();
-  if constexpr (dnnd::telemetry::kEnabled) {
-    // Communicator-owned tags register at construction; the process
-    // gauges come from /proc via sync_memory_gauges.
-    EXPECT_NE(doc.find("\"mem.comm.mailbox\""), std::string::npos);
-    EXPECT_NE(doc.find("\"mem.comm.retry\""), std::string::npos);
-    EXPECT_NE(doc.find("\"mem.process.rss_bytes\""), std::string::npos);
-    EXPECT_NE(doc.find("\"units\""), std::string::npos);
-  } else {
-    // OFF flavour: no registry content at all — and in particular no
-    // ledger residue in the handler/transport sections.
-    EXPECT_NE(doc.find("\"enabled\":false"), std::string::npos);
-    EXPECT_EQ(doc.find("mem."), std::string::npos);
-  }
+  // Communicator-owned tags register at construction; the process gauges
+  // come from /proc via sync_memory_gauges.
+  EXPECT_NE(doc.find("\"mem.comm.mailbox\""), std::string::npos);
+  EXPECT_NE(doc.find("\"mem.comm.retry\""), std::string::npos);
+  EXPECT_NE(doc.find("\"mem.process.rss_bytes\""), std::string::npos);
+  EXPECT_NE(doc.find("\"units\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -352,12 +317,8 @@ TEST(ProcessMemory, TaggedBytesAreBoundedByMeasuredRss) {
   const auto after = dnnd::telemetry::read_process_memory();
 
   const std::int64_t tagged = ledger.current_bytes("mem.block");
-  if constexpr (dnnd::telemetry::kEnabled) {
-    EXPECT_GE(tagged, static_cast<std::int64_t>(kBytes));  // the floor
-    EXPECT_LE(tagged, after.rss_bytes);                    // the ceiling
-  } else {
-    EXPECT_EQ(tagged, 0);
-  }
+  EXPECT_GE(tagged, static_cast<std::int64_t>(kBytes));  // the floor
+  EXPECT_LE(tagged, after.rss_bytes);                    // the ceiling
   EXPECT_GE(after.peak_rss_bytes, before.peak_rss_bytes);
 }
 

@@ -25,7 +25,6 @@
 #include "core/distance.hpp"
 #include "core/dnnd_runner.hpp"
 #include "data/synthetic.hpp"
-#include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 
@@ -86,13 +85,6 @@ json::Value run_chain_trace(std::uint64_t trace_sample_period) {
 TEST(CausalTracing, TwoRankChainStaysConnectedAcrossRanks) {
   const auto doc = run_chain_trace(1);  // trace every root message
   const auto& events = doc.at("traceEvents").as_array();
-
-  if constexpr (!telemetry::kEnabled) {
-    for (const auto& e : events) {
-      EXPECT_EQ(e.at("ph").as_string(), "M");  // metadata only, no spans
-    }
-    return;
-  }
 
   // Collect flows (id -> pid per side) and the traced recv spans.
   std::map<std::string, int> start_pid, finish_pid;
@@ -179,20 +171,13 @@ std::uint64_t ping_remote_bytes(std::uint64_t trace_sample_period) {
 TEST(CausalTracing, UntracedEnvelopeCostsNoExtraBytes) {
   const std::uint64_t untraced = ping_remote_bytes(0);
   const std::uint64_t traced = ping_remote_bytes(1);
-  if constexpr (telemetry::kEnabled) {
-    // Every traced message carries 4 extra varints (trace, span, hop,
-    // send_ts) — at least 4 bytes each of 20 messages. The untraced
-    // envelope is byte-identical to the plain handler id (the traced
-    // flag rides the id's low bit and ids stay below 64).
-    EXPECT_GE(traced - untraced, 20u * 4u);
-  } else {
-    // With telemetry compiled out the knob must change nothing at all.
-    EXPECT_EQ(traced, untraced);
-  }
-  // Cross-configuration invariance of the untraced byte count (the
-  // "OFF build carries no trace bytes" half) is enforced by
-  // tests/check_metrics_regression.sh, which diffs handler byte counters
-  // of both build flavors against one committed baseline.
+  // The untraced envelope is the plain handler id: the traced flag rides
+  // the id's low bit and ids stay below 64, so each of the 20 pings costs
+  // a 1-byte varint plus its 4-byte payload.
+  EXPECT_EQ(untraced, 20u * (1u + 4u));
+  // Every traced message carries 4 extra varints (trace, span, hop,
+  // send_ts) — at least 4 bytes each of 20 messages.
+  EXPECT_GE(traced - untraced, 20u * 4u);
 }
 
 TEST(CausalTracing, MaxHopCapStopsPropagation) {
@@ -216,26 +201,24 @@ TEST(CausalTracing, MaxHopCapStopsPropagation) {
     if (rank == 0) env.comm(0).async(1, h[0], std::uint32_t{50});
   });
 
-  if constexpr (telemetry::kEnabled) {
-    std::ostringstream os;
-    env.write_chrome_trace(os);
-    std::uint64_t max_hop = 0, spans = 0;
-    const auto doc = json::parse(os.str());
-    for (const auto& e : doc.at("traceEvents").as_array()) {
-      if (e.at("ph").as_string() != "X") continue;
-      if (e.at("cat").as_string() != "handler") continue;
-      ++spans;
-      max_hop = std::max(
-          max_hop,
-          static_cast<std::uint64_t>(e.at("args").at("hop").as_number()));
-    }
-    // The cap is respected exactly: hops reach kMaxTraceHops, never past
-    // it. (Propagation stops there; the bounce after the cap is untraced,
-    // and the one after that may start a fresh sampled root — so there
-    // can be more traced spans than the cap, just never a deeper hop.)
-    EXPECT_EQ(max_hop, static_cast<std::uint64_t>(comm::kMaxTraceHops));
-    EXPECT_GE(spans, static_cast<std::uint64_t>(comm::kMaxTraceHops));
+  std::ostringstream os;
+  env.write_chrome_trace(os);
+  std::uint64_t max_hop = 0, spans = 0;
+  const auto doc = json::parse(os.str());
+  for (const auto& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() != "X") continue;
+    if (e.at("cat").as_string() != "handler") continue;
+    ++spans;
+    max_hop = std::max(
+        max_hop,
+        static_cast<std::uint64_t>(e.at("args").at("hop").as_number()));
   }
+  // The cap is respected exactly: hops reach kMaxTraceHops, never past it.
+  // (Propagation stops there; the bounce after the cap is untraced, and
+  // the one after that may start a fresh sampled root — so there can be
+  // more traced spans than the cap, just never a deeper hop.)
+  EXPECT_EQ(max_hop, static_cast<std::uint64_t>(comm::kMaxTraceHops));
+  EXPECT_GE(spans, static_cast<std::uint64_t>(comm::kMaxTraceHops));
 }
 
 // ---------------------------------------------------------------------------
@@ -260,15 +243,8 @@ TEST(Observability, FourRankBuildEmitsConnectedFlowsAndIterationSnapshots) {
   env.write_timeseries_json(ts);
   const auto series = json::parse(ts.str());
   EXPECT_EQ(series.at("schema").as_string(), "dnnd.timeseries.v1");
-  EXPECT_EQ(series.at("enabled").as_bool(), telemetry::kEnabled);
   EXPECT_EQ(series.at("ranks").as_number(), 4.0);
   const auto& snapshots = series.at("snapshots").as_array();
-
-  if constexpr (!telemetry::kEnabled) {
-    EXPECT_TRUE(snapshots.empty());  // zero-cost: nothing is sampled
-    return;
-  }
-
   ASSERT_GE(snapshots.size(), stats.iterations);
   double prev_t = -1.0;
   std::uint64_t iteration_snaps = 0;
@@ -324,9 +300,6 @@ TEST(Observability, FourRankBuildEmitsConnectedFlowsAndIterationSnapshots) {
 // ---------------------------------------------------------------------------
 
 TEST(Observability, JsonLogLinesFromTracedHandlersCarryTheTraceId) {
-  if constexpr (!telemetry::kEnabled) {
-    GTEST_SKIP() << "no trace ids under DNND_TELEMETRY=OFF";
-  }
   std::vector<std::string> lines;
   util::set_log_sink([&lines](std::string_view line) {
     lines.emplace_back(line);

@@ -3,10 +3,7 @@
 # configuration and runs the tier-1, recovery, concurrency and
 # serving-chaos suites plus the metrics gate in each. Today's matrix:
 #
-#   default        DNND_TELEMETRY=ON  (the normal build)
-#   telemetry-off  DNND_TELEMETRY=OFF (instrumentation compiled to no-ops;
-#                  proves the facade keeps the same API surface and that
-#                  no test silently depends on telemetry being recorded)
+#   default        the normal build (no flags)
 #   simd-off       DNND_SIMD=OFF (the AVX2 distance-kernel TU is not even
 #                  compiled; the blocked scalar reference carries every
 #                  build. The kernel determinism contract says this flavour
@@ -24,7 +21,8 @@
 #   asan           DNND_SANITIZE=address (AddressSanitizer + UBSan): the
 #                  mmap'd datastore paths (arena, sealed checkpoint
 #                  generations, reopen) and every test run under memory
-#                  and undefined-behaviour checking.
+#                  and undefined-behaviour checking. UBSan is built with
+#                  -fno-sanitize-recover, so a report aborts its test.
 #
 # Usage:
 #   tests/run_matrix.sh            # whole matrix
@@ -37,8 +35,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A configs=(
-  [default]="-DDNND_TELEMETRY=ON"
-  [telemetry-off]="-DDNND_TELEMETRY=OFF"
+  [default]=""
   [simd-off]="-DDNND_SIMD=OFF"
   [tsan]="-DDNND_SANITIZE=thread"
   [asan]="-DDNND_SANITIZE=address"
@@ -55,7 +52,7 @@ declare -A run_env=(
 selected=("${!configs[@]}")
 if [[ $# -gt 0 ]]; then
   for name in "$@"; do
-    if [[ -z "${configs[$name]:-}" ]]; then
+    if [[ ! -v configs[$name] ]]; then
       echo "unknown configuration '$name' (have: ${!configs[*]})" >&2
       exit 2
     fi
@@ -71,10 +68,9 @@ for name in "${selected[@]}"; do
   # Bounded: an unbounded -j runs one compiler per target at once, which
   # under ASan instrumentation needs tens of GB.
   cmake --build "$build_dir" -j "$(nproc)"
-  # Three labelled suites must exist in every flavour, besides tier1:
-  #   recovery       kill-and-resume; checkpoint and resume paths are
-  #                  instrumented, so telemetry-off proves recovery does
-  #                  not depend on the counters existing
+  # Three labelled suites must exist in every configuration, besides
+  # tier1:
+  #   recovery       kill-and-resume through checkpoints
   #   concurrency    thread parity matrix and the memory ledger's
   #                  multi-thread hammer — the TSan leg's main payload
   #   serving-chaos  replicated serving failover: detection, replica
@@ -97,11 +93,11 @@ for name in "${selected[@]}"; do
    env ${run_env[$name]:-} \
      ctest -L 'tier1|recovery|concurrency|serving-chaos' --no-tests=error \
        --output-on-failure -j "$(nproc)")
-  # Metrics regression gate in every flavour: the baseline is recorded
-  # with tracing disabled, so handler byte counters must match even under
-  # DNND_TELEMETRY=OFF — a mismatch there means telemetry leaked bytes
-  # into the message envelope. The tsan leg runs the gate with
-  # DNND_THREADS_PER_RANK=4: threading may not move a single counter.
+  # Metrics regression gate in every configuration: the baseline is
+  # recorded with tracing disabled, so handler byte counters must match
+  # exactly — a mismatch means an untraced envelope grew. The tsan leg
+  # runs the gate with DNND_THREADS_PER_RANK=4: threading may not move a
+  # single counter.
   # shellcheck disable=SC2086
   env ${run_env[$name]:-} tests/check_metrics_regression.sh "$build_dir"
 done

@@ -23,7 +23,7 @@ TEST(Sampler, SnapshotsCaptureCountersAndGaugesAtSampleTime) {
   const auto g = reg.gauge("depth");
 
   std::uint64_t now = 1000;
-  Sampler sampler(0, [&now] { return now; });
+  Sampler sampler([&now] { return now; });
   sampler.attach(0, &reg);
 
   reg.add(c, 5);
@@ -56,46 +56,13 @@ TEST(Sampler, SnapshotsCaptureCountersAndGaugesAtSampleTime) {
   EXPECT_EQ(s1.ranks[0].gauges[0].second.second, 3);   // peak held
 }
 
-TEST(Sampler, MaybeSampleHonorsTickPeriodUnderFakeClock) {
-  MetricsRegistry reg;
-  std::uint64_t now = 0;
-  Sampler sampler(100, [&now] { return now; });
-  sampler.attach(0, &reg);
-
-  EXPECT_TRUE(sampler.maybe_sample("tick"));    // first tick always samples
-  now = 50;
-  EXPECT_FALSE(sampler.maybe_sample("tick"));   // period not elapsed
-  now = 100;
-  EXPECT_TRUE(sampler.maybe_sample("tick"));
-  now = 150;
-  sampler.sample("iteration");                  // explicit resets the timer
-  now = 199;
-  EXPECT_FALSE(sampler.maybe_sample("tick"));
-  now = 250;
-  EXPECT_TRUE(sampler.maybe_sample("tick"));
-  ASSERT_EQ(sampler.snapshots().size(), 4u);
-}
-
-TEST(Sampler, ZeroPeriodDisablesTheTickPathEntirely) {
-  MetricsRegistry reg;
-  std::uint64_t calls = 0;
-  Sampler sampler(0, [&calls] { return ++calls; });
-  sampler.attach(0, &reg);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(sampler.maybe_sample("tick"));
-  }
-  EXPECT_TRUE(sampler.snapshots().empty());
-  // Zero-cost contract: a disabled tick path never even reads the clock.
-  EXPECT_EQ(calls, 0u);
-}
-
 TEST(Sampler, WriteJsonIsByteDeterministicAndOriginRelative) {
   const auto run = [] {
     MetricsRegistry r0, r1;
     const auto c0 = r0.counter("evals");
     const auto c1 = r1.counter("evals");
     std::uint64_t now = 5000;
-    Sampler sampler(0, [&now] { return now; });
+    Sampler sampler([&now] { return now; });
     sampler.attach(0, &r0);
     sampler.attach(1, &r1);
     r0.add(c0, 2);
@@ -105,7 +72,7 @@ TEST(Sampler, WriteJsonIsByteDeterministicAndOriginRelative) {
     r0.add(c0, 1);
     sampler.sample("iteration");
     std::ostringstream os;
-    sampler.write_json(os, true, 5000);  // origin = first sample time
+    sampler.write_json(os, 5000);  // origin = first sample time
     return os.str();
   };
 
@@ -113,8 +80,7 @@ TEST(Sampler, WriteJsonIsByteDeterministicAndOriginRelative) {
   EXPECT_EQ(a, run());  // identical schedule -> identical bytes
 
   const std::string expected =
-      "{\"schema\":\"dnnd.timeseries.v1\",\"enabled\":true,\"ranks\":2,"
-      "\"tick_us\":0,\"snapshots\":["
+      "{\"schema\":\"dnnd.timeseries.v1\",\"ranks\":2,\"snapshots\":["
       "{\"t_us\":0,\"seq\":1,\"label\":\"iteration\",\"per_rank\":["
       "{\"rank\":0,\"counters\":{\"evals\":2},\"gauges\":{}},"
       "{\"rank\":1,\"counters\":{\"evals\":9},\"gauges\":{}}]},"
@@ -135,7 +101,7 @@ TEST(Sampler, HistogramsStayOutOfTheSeries) {
   const auto h = reg.histogram("latency_us");
   reg.record(h, 42);
   std::uint64_t now = 1;
-  Sampler sampler(0, [&now] { return now; });
+  Sampler sampler([&now] { return now; });
   sampler.attach(0, &reg);
   sampler.sample("iteration");
   EXPECT_TRUE(sampler.snapshots()[0].ranks[0].counters.empty());

@@ -110,6 +110,17 @@ TEST(Archive, VectorUnderflowThrows) {
   out.write_size(1000);  // promises 1000 elements, delivers none
   InArchive in(out.bytes());
   EXPECT_THROW(in.read_vector<std::uint32_t>(), ArchiveError);
+
+  // 2^61 eight-byte elements: n * sizeof(T) wraps to 0 bytes, so a check
+  // that multiplies first would pass and the vector would throw
+  // std::length_error instead.
+  OutArchive huge;
+  huge.write_size(std::uint64_t{1} << 61);
+  InArchive vector_in(huge.bytes());
+  EXPECT_THROW(vector_in.read_vector<std::uint64_t>(), ArchiveError);
+  InArchive into_in(huge.bytes());
+  std::vector<std::uint64_t> scratch;
+  EXPECT_THROW(into_in.read_into(scratch), ArchiveError);
 }
 
 TEST(Archive, SizeAccountsEveryByte) {

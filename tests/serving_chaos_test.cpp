@@ -229,15 +229,13 @@ TEST(SeedSampling, NeverRoutesToADeclaredDeadRank) {
 
   expect_bit_identical(results, reference);
   for (const auto& r : results) EXPECT_DOUBLE_EQ(r.coverage, 1.0);
-  if constexpr (telemetry::kEnabled) {
-    for (const char* name : {"comm.recv.q_seed_req", "comm.recv.q_row_req",
-                             "comm.recv.q_eval_batch"}) {
-      EXPECT_EQ(env.telemetry(3).metrics().counter_value(name), 0u)
-          << name << ": a request reached the rank everyone declared dead";
-    }
-    EXPECT_GT(env.aggregate_metrics().counter_value("comm.recv.q_seed_req"),
-              0u);
+  for (const char* name : {"comm.recv.q_seed_req", "comm.recv.q_row_req",
+                           "comm.recv.q_eval_batch"}) {
+    EXPECT_EQ(env.telemetry(3).metrics().counter_value(name), 0u)
+        << name << ": a request reached the rank everyone declared dead";
   }
+  EXPECT_GT(env.aggregate_metrics().counter_value("comm.recv.q_seed_req"),
+            0u);
 }
 
 // -- fault-free serving: replication is invisible ------------------------
@@ -278,9 +276,7 @@ TEST(ServingChaos, AggressiveHedgingIsBitTransparent) {
   const auto hedged = service.run(w.queries, serving_params());
 
   expect_bit_identical(hedged, reference);
-  if constexpr (telemetry::kEnabled) {
-    EXPECT_GT(env.aggregate_metrics().counter_value("query.hedge.sent"), 0u);
-  }
+  EXPECT_GT(env.aggregate_metrics().counter_value("query.hedge.sent"), 0u);
 }
 
 // -- the acceptance case: one replica of every shard killed mid-stream ---
@@ -326,17 +322,15 @@ TEST(ServingChaos, KilledReplicasAreInvisibleWithRf2) {
   expect_bit_identical(results, reference);
   for (const auto& r : results) EXPECT_DOUBLE_EQ(r.coverage, 1.0);
 
-  if constexpr (telemetry::kEnabled) {
-    const auto metrics = env.aggregate_metrics();
-    const std::uint64_t failover =
-        metrics.counter_value("query.failover.rerouted") +
-        metrics.counter_value("query.failover.reissues") +
-        metrics.counter_value("query.failover.resubmitted");
-    EXPECT_GT(failover, 0u) << "two mid-stream crashes exercised no failover";
-    EXPECT_EQ(metrics.counter_value("query.degraded.completed"), 0u);
-    EXPECT_GT(metrics.gauge_value("mem.replica.features"), 0);
-    EXPECT_GT(metrics.gauge_value("mem.replica.rows"), 0);
-  }
+  const auto metrics = env.aggregate_metrics();
+  const std::uint64_t failover =
+      metrics.counter_value("query.failover.rerouted") +
+      metrics.counter_value("query.failover.reissues") +
+      metrics.counter_value("query.failover.resubmitted");
+  EXPECT_GT(failover, 0u) << "two mid-stream crashes exercised no failover";
+  EXPECT_EQ(metrics.counter_value("query.degraded.completed"), 0u);
+  EXPECT_GT(metrics.gauge_value("mem.replica.features"), 0);
+  EXPECT_GT(metrics.gauge_value("mem.replica.rows"), 0);
 }
 
 // -- graceful degradation: a whole shard dies ----------------------------
@@ -376,11 +370,9 @@ TEST(ServingChaos, WholeShardDeadDegradesGracefully) {
   EXPECT_GT(degraded, 0u) << "a dead shard must degrade some queries";
   // Three of four shards still answer: quality drops but stays useful.
   EXPECT_GT(recall_of(results), 0.5);
-  if constexpr (telemetry::kEnabled) {
-    const auto metrics = env.aggregate_metrics();
-    EXPECT_GT(metrics.counter_value("query.degraded.completed"), 0u);
-    EXPECT_GT(metrics.counter_value("query.failover.abandoned"), 0u);
-  }
+  const auto metrics = env.aggregate_metrics();
+  EXPECT_GT(metrics.counter_value("query.degraded.completed"), 0u);
+  EXPECT_GT(metrics.counter_value("query.failover.abandoned"), 0u);
 }
 
 TEST(ServingChaos, Rf2SurvivesOneDeathThenDegradesOnSecond) {

@@ -1,12 +1,8 @@
 // Unit tests for the telemetry layer: LogHistogram bucket layout,
 // MetricsRegistry counter/gauge/histogram semantics, cross-rank merge
 // (associativity, by-name matching, kind-conflict strong guarantee), and
-// the reset-keeps-registry contract mirrored from MessageStats.
-//
-// MetricsRegistry / LogHistogram / TraceBuffer are plain data structures
-// compiled in both DNND_TELEMETRY configurations, so everything here runs
-// unconditionally; only the facade test at the bottom branches on
-// telemetry::kEnabled.
+// the reset-keeps-registry contract mirrored from MessageStats, and the
+// per-rank Telemetry facade that forwards to them.
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -256,7 +252,7 @@ TEST(MetricsRegistryUnit, ResetKeepsRegistry) {
 }
 
 // ---------------------------------------------------------------------------
-// Facade gate
+// Facade
 // ---------------------------------------------------------------------------
 
 TEST(TelemetryFacade, RecordsIffEnabled) {
@@ -266,15 +262,9 @@ TEST(TelemetryFacade, RecordsIffEnabled) {
   {
     const auto span = t.span("unit", "test");
   }
-  if constexpr (dnnd::telemetry::kEnabled) {
-    EXPECT_EQ(t.metrics().counter_value("facade.hits"), 3u);
-    ASSERT_EQ(t.trace().size(), 1u);
-    EXPECT_EQ(t.trace().events()[0].name, "unit");
-  } else {
-    // OFF facade: nothing is recorded anywhere.
-    EXPECT_EQ(t.metrics().size(), 0u);
-    EXPECT_EQ(t.trace().size(), 0u);
-  }
+  EXPECT_EQ(t.metrics().counter_value("facade.hits"), 3u);
+  ASSERT_EQ(t.trace().size(), 1u);
+  EXPECT_EQ(t.trace().events()[0].name, "unit");
 }
 
 }  // namespace

@@ -277,12 +277,10 @@ TEST_P(EngineThreadParity, BitIdenticalToSingleThreadSameDriver) {
     // Full counter parity, engine.tasks included: the merged registry is
     // bit-identical once wall-clock metrics are dropped.
     EXPECT_EQ(run.counters, ref.counters);
-    if constexpr (telemetry::kEnabled) {
-      ASSERT_TRUE(run.counters.contains("engine.tasks"));
-      EXPECT_GT(run.counters.at("engine.tasks"), 0u);
-      EXPECT_EQ(run.counters.at("engine.tasks"),
-                ref.counters.at("engine.tasks"));
-    }
+    ASSERT_TRUE(run.counters.contains("engine.tasks"));
+    EXPECT_GT(run.counters.at("engine.tasks"), 0u);
+    EXPECT_EQ(run.counters.at("engine.tasks"),
+              ref.counters.at("engine.tasks"));
   }
 }
 
@@ -388,10 +386,8 @@ TEST(QueryThreadParity, DistributedServiceResultsIndependentOfThreads) {
       EXPECT_EQ(got[i].distance_evals, ref[i].distance_evals);
     }
     EXPECT_EQ(counters, ref_counters) << "threads=" << threads;
-    if constexpr (telemetry::kEnabled) {
-      ASSERT_TRUE(counters.contains("query.tasks"));
-      EXPECT_GT(counters.at("query.tasks"), 0u);
-    }
+    ASSERT_TRUE(counters.contains("query.tasks"));
+    EXPECT_GT(counters.at("query.tasks"), 0u);
   }
 }
 

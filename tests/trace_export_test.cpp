@@ -230,7 +230,8 @@ TEST(TraceSpanUnit, MovedFromSpanDoesNotDoubleRecord) {
 
 TEST(TraceSpanUnit, NullBufferSpanIsANoOp) {
   const TraceSpan span(nullptr, "ghost", "test");
-  // Nothing to assert beyond "does not crash": this is the OFF-mode shape.
+  // Nothing to assert beyond "does not crash": this is the shape of a
+  // default-constructed or moved-from span.
 }
 
 // ---------------------------------------------------------------------------
@@ -255,11 +256,9 @@ TEST(MetricsJsonExport, SchemaAndHandlerRowsFromLiveEnvironment) {
   const auto doc = json::parse(os.str());
 
   EXPECT_EQ(doc.at("schema").as_string(), "dnnd.metrics.v1");
-  EXPECT_EQ(doc.at("enabled").as_bool(), dnnd::telemetry::kEnabled);
   EXPECT_EQ(doc.at("ranks").as_number(), 2.0);
 
-  // Handler rows carry the Fig. 4 send-side accounting regardless of the
-  // telemetry configuration (MessageStats is always on).
+  // Handler rows carry the Fig. 4 send-side accounting (MessageStats).
   const auto& handlers = doc.at("handlers").as_array();
   ASSERT_EQ(handlers.size(), 1u);
   EXPECT_EQ(handlers[0].at("label").as_string(), "ping");
@@ -270,35 +269,26 @@ TEST(MetricsJsonExport, SchemaAndHandlerRowsFromLiveEnvironment) {
   EXPECT_EQ(transport.at("retransmits").as_number(), 0.0);
   EXPECT_EQ(transport.at("duplicates_suppressed").as_number(), 0.0);
 
-  // The merged registry always has the three sections; their content
-  // depends on the build configuration.
+  // The merged registry always has the three sections.
   const auto& metrics = doc.at("metrics");
   ASSERT_TRUE(metrics.at("counters").is_object());
   ASSERT_TRUE(metrics.at("gauges").is_object());
   ASSERT_TRUE(metrics.at("histograms").is_object());
-  if constexpr (dnnd::telemetry::kEnabled) {
-    // Each delivered message bumps the per-handler recv counter; two ranks
-    // each received one "ping".
-    EXPECT_EQ(metrics.at("counters").at("comm.recv.ping").as_number(), 2.0);
-    EXPECT_TRUE(metrics.at("gauges").contains("comm.inbox_depth"));
-    EXPECT_TRUE(metrics.at("histograms").contains("comm.barrier_wait_us"));
-  } else {
-    EXPECT_EQ(metrics.at("counters").as_object().size(), 0u);
-  }
+  // Each delivered message bumps the per-handler recv counter; two ranks
+  // each received one "ping".
+  EXPECT_EQ(metrics.at("counters").at("comm.recv.ping").as_number(), 2.0);
+  EXPECT_TRUE(metrics.at("gauges").contains("comm.inbox_depth"));
+  EXPECT_TRUE(metrics.at("histograms").contains("comm.barrier_wait_us"));
 }
 
 TEST(MetricsJsonExport, AggregateMetricsMergesAcrossRanks) {
   Environment env(Config{.num_ranks = 3});
-  if constexpr (dnnd::telemetry::kEnabled) {
-    for (int r = 0; r < 3; ++r) {
-      auto& t = env.telemetry(r);
-      t.add(t.counter("test.work"), static_cast<std::uint64_t>(r + 1));
-    }
-    const auto merged = env.aggregate_metrics();
-    EXPECT_EQ(merged.counter_value("test.work"), 6u);  // 1 + 2 + 3
-  } else {
-    EXPECT_EQ(env.aggregate_metrics().size(), 0u);
+  for (int r = 0; r < 3; ++r) {
+    auto& t = env.telemetry(r);
+    t.add(t.counter("test.work"), static_cast<std::uint64_t>(r + 1));
   }
+  const auto merged = env.aggregate_metrics();
+  EXPECT_EQ(merged.counter_value("test.work"), 6u);  // 1 + 2 + 3
 }
 
 }  // namespace
