@@ -1,7 +1,6 @@
-// Memory-footprint bench: bytes per point, by subsystem, for the two
-// feature layouts (CSR FeatureStore vs padded DenseBlockStore) plus the
-// k-NN graph rows, measured through the memory ledger at n = 1e4 and
-// 1e5. The committed BENCH_memory.json snapshot is what EXPERIMENTS.md
+// Memory-footprint bench: bytes per point, by subsystem, for the CSR
+// FeatureStore plus the k-NN graph rows, measured through the memory
+// ledger at n = 1e4 and 1e5. The committed BENCH_memory.json snapshot is what EXPERIMENTS.md
 // quotes; regenerate with `./bench_memory` from the build directory.
 //
 // The numbers are layout properties, not workload properties: values are
@@ -17,7 +16,6 @@ namespace {
 
 using dnnd::bench::BenchReport;
 using dnnd::core::FeatureStore;
-using dnnd::core::DenseBlockStore;
 using dnnd::core::NeighborList;
 using dnnd::core::VertexId;
 
@@ -39,15 +37,13 @@ struct Footprint {
 };
 
 /// Builds a store of `n` points plus `n` graph rows of capacity k, all
-/// charged against a fresh ledger, and reads the ledger back. `Store` is
-/// FeatureStore<float> (CSR) or DenseBlockStore<float> (padded dense).
-template <typename Store>
+/// charged against a fresh ledger, and reads the ledger back.
 Footprint measure(std::size_t n) {
   dnnd::telemetry::MemoryLedger ledger;
   const auto t_features = ledger.tag("mem.engine.features");
   const auto t_graph = ledger.tag("mem.engine.graph");
 
-  Store store;
+  FeatureStore<float> store;
   store.set_mem_tag(dnnd::telemetry::MemTag(&ledger, t_features));
   std::vector<NeighborList> graph;
   graph.reserve(n);
@@ -65,8 +61,8 @@ Footprint measure(std::size_t n) {
   return fp;
 }
 
-void report_layout(BenchReport& report, const char* layout, std::size_t n,
-                   const Footprint& fp) {
+void report_row(BenchReport& report, std::size_t n, const Footprint& fp) {
+  constexpr const char* layout = "csr_fp32";
   const double dn = static_cast<double>(n);
   auto& row = report.add_row(std::string(layout) + "_n" + std::to_string(n));
   row.params["layout"] = layout;
@@ -93,18 +89,14 @@ void report_layout(BenchReport& report, const char* layout, std::size_t n,
 
 int main() {
   dnnd::bench::print_header(
-      "memory footprint: bytes per point by subsystem and layout");
+      "memory footprint: bytes per point by subsystem");
   BenchReport report("memory");
   for (const std::size_t n : {std::size_t{10'000}, std::size_t{100'000}}) {
-    const Footprint csr = measure<FeatureStore<float>>(n);
-    report_layout(report, "csr_fp32", n, csr);
-    const Footprint dense = measure<DenseBlockStore<float>>(n);
-    report_layout(report, "dense_fp32", n, dense);
-    dnnd::bench::print_rule();
+    report_row(report, n, measure(n));
   }
-  std::printf("dense pads rows to the SIMD block width (stride %zu for dim "
-              "%zu); CSR carries offsets, ids and the id->row index.\n",
-              dnnd::core::DenseBlockStore<float>::padded(kDim), kDim);
+  dnnd::bench::print_rule();
+  std::printf("CSR carries row offsets and the id->row index on top of the "
+              "values.\n");
   report.write("BENCH_memory.json");
   return 0;
 }

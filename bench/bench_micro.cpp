@@ -190,10 +190,10 @@ const KernelCase<T> kKernelCases[] = {
 };
 
 /// Evals/s for one (metric, dim, batch, dispatch) cell: repeated batched
-/// sweeps over a 1024-row padded block store, timed after a warmup pass.
+/// sweeps over a 1024-row feature store, timed after a warmup pass.
 template <typename T>
 double measure_evals_per_sec(const KernelCase<T>& kc,
-                             const core::DenseBlockStore<T>& store,
+                             const core::FeatureStore<T>& store,
                              const std::vector<T>& query, std::size_t batch) {
   const std::size_t n = store.size();
   std::vector<const T*> ptrs(n);
@@ -225,8 +225,8 @@ void kernel_sweep_rows(bench::BenchReport& report) {
   const char* type_name = std::is_same_v<T, float> ? "f32" : "u8";
   util::Xoshiro256 rng(0xBE7C);
   for (const std::size_t dim : {64UL, 128UL, 768UL}) {
-    core::DenseBlockStore<T> store;
-    store.reserve(1024);
+    core::FeatureStore<T> store;
+    store.reserve(1024, dim);
     std::vector<T> feature(dim);
     for (std::size_t i = 0; i < 1024; ++i) {
       for (auto& x : feature) {

@@ -30,7 +30,7 @@ Outcome run(const core::FeatureStore<float>& base,
   comm::Environment env(comm::Config{.num_ranks = ranks});
   core::DnndConfig cfg;
   cfg.k = 10;
-  core::DnndRunner<float, bench::L2Fn> runner(env, cfg, bench::L2Fn{}, {},
+  core::DnndRunner<float, bench::L2Fn> runner(env, cfg, bench::L2Fn{},
                                               std::move(partition));
   runner.distribute(base);
   const auto stats = runner.build();

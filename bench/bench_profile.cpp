@@ -51,10 +51,12 @@ int main() {
       evals += runner.engine(r).distance_evals();
     }
     const auto stats = env.aggregate_stats();
-    const double compute =
-        static_cast<double>(evals) * static_cast<double>(base.dim());
+    const double compute = static_cast<double>(evals) *
+                           static_cast<double>(base.dim()) *
+                           core::kWorkPerFeatureElement;
     const double communication =
-        static_cast<double>(stats.total_remote_bytes()) * 0.25;
+        static_cast<double>(stats.total_remote_bytes()) *
+        core::kWorkPerSentByte;
     std::printf("compute %.3e units (%.0f%%) vs communication %.3e units "
                 "(%.0f%%)\n",
                 compute, 100.0 * compute / (compute + communication),

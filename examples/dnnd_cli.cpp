@@ -107,26 +107,69 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Parses all of `text` as a base-10 integer of `out`'s type. False for
+/// empty text, a non-digit anywhere (trailing junk included) or a value
+/// out of range, so a mistyped flag is rejected rather than read as 0.
+template <typename Int>
+bool parse_whole_number(std::string_view text, Int& out) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// Parses all of `text` as a finite number. False for empty text,
+/// trailing junk, nan or inf: a nan tolerance would make every comparison
+/// false and pass any diff, and a nan epsilon would stop every search at
+/// its entry points.
+bool parse_finite(std::string_view text, double& out) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end && std::isfinite(out);
+}
+
+/// True for a --flag. A dash argument that reads as a number (-0.5) is a
+/// positional value, so its own range check names it.
+bool is_flag(std::string_view arg) {
+  double number = 0;
+  return arg.starts_with('-') && !parse_finite(arg, number);
+}
+
 /// build's crash-tolerance knobs: --checkpoint-every N persists a
 /// CRC-validated checkpoint generation every N NN-Descent iterations
 /// (default dir: <datastore>.ckpt); --resume continues an interrupted
 /// build from the newest valid generation instead of starting over.
 /// --threads N runs each simulated rank's hot loops on an N-thread pool
 /// (bit-identical output for any N; 0 = auto via DNND_THREADS_PER_RANK).
+/// Causal tracing is on by default for CLI builds: every 64th root
+/// message starts a traced chain, cheap enough to leave on and dense
+/// enough that a multi-iteration build yields cross-rank flow arrows.
+/// DNND_TRACE_SAMPLE_PERIOD overrides the period; 0 disables tracing,
+/// which also makes handler byte counters byte-deterministic (traced
+/// envelopes carry wall-clock varints) — the regression gate relies on
+/// this (tests/check_metrics_regression.sh).
 struct BuildOptions {
   std::size_t checkpoint_every = 0;
   std::string checkpoint_dir;
   bool resume = false;
   std::size_t threads = 0;
+  std::uint64_t trace_period = 64;
 };
 
 int cmd_gen(int argc, char** argv) {
   const std::string name = argv[2];
   const std::string prefix = argv[3];
-  const std::size_t n =
-      argc > 4 ? static_cast<std::size_t>(std::atoll(argv[4])) : 0;
-  const std::size_t nq =
-      argc > 5 ? static_cast<std::size_t>(std::atoll(argv[5])) : 100;
+  std::size_t n = 0;  // 0: the dataset's default scaled size
+  if (argc > 4 && !parse_whole_number(argv[4], n)) {
+    std::fprintf(stderr, "gen: [n] wants a point count >= 0, got %s\n",
+                 argv[4]);
+    return 2;
+  }
+  std::size_t nq = 100;
+  if (argc > 5 && !parse_whole_number(argv[5], nq)) {
+    std::fprintf(stderr, "gen: [nq] wants a query count >= 0, got %s\n",
+                 argv[5]);
+    return 2;
+  }
   const auto& spec = data::dataset_by_name(name);
   const double scale =
       n > 0 ? static_cast<double>(n) / static_cast<double>(spec.scaled_entries)
@@ -160,20 +203,9 @@ int cmd_gen(int argc, char** argv) {
 template <typename T, typename Fn>
 int build_typed(const core::FeatureStore<T>& base, const std::string& store,
                 std::size_t k, int ranks, const BuildOptions& opts) {
-  // Causal tracing on by default for CLI builds: every 64th root message
-  // starts a traced chain, cheap enough to leave on and dense enough that
-  // a multi-iteration build yields cross-rank flow arrows.
-  // DNND_TRACE_SAMPLE_PERIOD overrides the period; 0 disables tracing,
-  // which also makes handler byte counters byte-deterministic (traced
-  // envelopes carry wall-clock varints) — the regression gate relies on
-  // this (tests/check_metrics_regression.sh).
-  std::uint64_t trace_period = 64;
-  if (const char* env_period = std::getenv("DNND_TRACE_SAMPLE_PERIOD")) {
-    trace_period = static_cast<std::uint64_t>(std::atoll(env_period));
-  }
   comm::Config env_cfg;
   env_cfg.num_ranks = ranks;
-  env_cfg.trace_sample_period = trace_period;
+  env_cfg.trace_sample_period = opts.trace_period;
   core::DnndConfig cfg;
   cfg.k = k;
   cfg.threads_per_rank = opts.threads;
@@ -271,16 +303,6 @@ int build_typed(const core::FeatureStore<T>& base, const std::string& store,
   return 0;
 }
 
-/// Parses all of `text` as a base-10 integer of `out`'s type. False for
-/// empty text, a non-digit anywhere (trailing junk included) or a value
-/// out of range, so a mistyped flag is rejected rather than read as 0.
-template <typename Int>
-bool parse_whole_number(std::string_view text, Int& out) {
-  const char* const end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && ptr == end;
-}
-
 int cmd_build(int argc, char** argv) {
   // Positional args first ([base store k ranks]), then --flag [value].
   std::vector<std::string> positional;
@@ -307,7 +329,7 @@ int cmd_build(int argc, char** argv) {
                      argv[i]);
         return 2;
       }
-    } else if (!arg.empty() && arg[0] == '-') {
+    } else if (is_flag(arg)) {
       std::fprintf(stderr, "build: unknown flag %s\n", arg.c_str());
       return 2;
     } else {
@@ -332,6 +354,14 @@ int cmd_build(int argc, char** argv) {
       (!parse_whole_number(positional[3], ranks) || ranks < 1)) {
     std::fprintf(stderr, "build: [ranks] wants a rank count >= 1, got %s\n",
                  positional[3].c_str());
+    return 2;
+  }
+  if (const char* period = std::getenv("DNND_TRACE_SAMPLE_PERIOD");
+      period != nullptr && !parse_whole_number(period, opts.trace_period)) {
+    std::fprintf(stderr,
+                 "build: DNND_TRACE_SAMPLE_PERIOD wants a period >= 0, "
+                 "got %s\n",
+                 period);
     return 2;
   }
 
@@ -523,7 +553,7 @@ int cmd_query(int argc, char** argv) {
         return 2;
       }
       opts.kills.push_back(crash);
-    } else if (!arg.empty() && arg[0] == '-') {
+    } else if (is_flag(arg)) {
       std::fprintf(stderr, "query: unknown flag %s\n", arg.c_str());
       return 2;
     } else {
@@ -537,8 +567,13 @@ int cmd_query(int argc, char** argv) {
   const std::string& store = positional[0];
   const std::string& query_file = positional[1];
   opts.gt_file = positional.size() > 2 ? positional[2] : "";
-  opts.epsilon =
-      positional.size() > 3 ? std::atof(positional[3].c_str()) : 0.2;
+  if (positional.size() > 3 &&
+      (!parse_finite(positional[3], opts.epsilon) || opts.epsilon < 0.0)) {
+    std::fprintf(stderr,
+                 "query: [epsilon] wants a finite number >= 0, got %s\n",
+                 positional[3].c_str());
+    return 2;
+  }
   if (opts.serve_ranks == 0 && (!opts.kills.empty() || opts.replication > 1)) {
     std::fprintf(stderr, "query: --kill/--replication need --serve N\n");
     return 2;
@@ -591,15 +626,6 @@ int cmd_info(int, char** argv) {
 // "the tool broke".
 constexpr int kExitOutOfTolerance = 3;
 
-/// Parses all of `text` as a finite number. False for empty text,
-/// trailing junk, nan or inf: a nan tolerance would make every comparison
-/// false and pass any diff.
-bool parse_finite(std::string_view text, double& out) {
-  const char* const end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc{} && ptr == end && std::isfinite(out);
-}
-
 int cmd_stats(int argc, char** argv) {
   // Flag parsing: positional args first, then --flag value pairs.
   std::vector<std::string> positional;
@@ -634,7 +660,7 @@ int cmd_stats(int argc, char** argv) {
       if (!read_number(i, mem_tolerance_pct, true)) return 2;
     } else if (arg == "--budget-gb" && i + 1 < argc) {
       if (!read_number(i, budget_gb, false)) return 2;
-    } else if (!arg.empty() && arg[0] == '-') {
+    } else if (is_flag(arg)) {
       std::fprintf(stderr, "stats: unknown flag %s\n", arg.c_str());
       return 2;
     } else {

@@ -6,11 +6,10 @@
 // generating synthetic query ground truth (the Big-ANN datasets ship
 // theirs; ours are computed).
 //
-// Store-generic: FeatureStore (CSR) and DenseBlockStore (padded SIMD
-// layout) both qualify. With a batch-capable distance functor the row
-// loops go through the one-query-vs-many kernels in fixed-size chunks;
-// update order is identical to the pairwise loops, so the graph is the
-// same either way.
+// Store-generic over the FeatureStore read interface (row, id_at, size).
+// With a batch-capable distance functor the row loops go through the
+// one-query-vs-many kernels in fixed-size chunks; update order is
+// identical to the pairwise loops, so the graph is the same either way.
 #pragma once
 
 #include <algorithm>

@@ -300,18 +300,14 @@ void Communicator::dispatch_traced(int source, HandlerId handler_id,
   telemetry_.add_trace_event(
       make_flow_event('f', handler.label, start, ctx.span_id));
 
-  // Make the context current for the handler's own async() calls — and for
-  // structured log lines emitted from handler code. Restore on scope exit
-  // even if the handler throws (chaos tests exercise throwing handlers).
+  // Make the context current for the handler's own async() calls. Restore
+  // on scope exit even if the handler throws (chaos tests exercise
+  // throwing handlers).
   struct ActiveScope {
     Communicator* self;
-    ~ActiveScope() {
-      self->active_ctx_ = TraceContext{};
-      util::set_active_trace(0);
-    }
+    ~ActiveScope() { self->active_ctx_ = TraceContext{}; }
   };
   active_ctx_ = ctx;
-  util::set_active_trace(ctx.trace_id);
   const ActiveScope scope{this};
 
   handler.fn(source, archive);

@@ -57,7 +57,6 @@
 #include "mpi/world.hpp"
 #include "serial/archive.hpp"
 #include "telemetry/telemetry.hpp"
-#include "util/logging.hpp"
 
 namespace dnnd::comm {
 

@@ -2,20 +2,15 @@
 //
 // NN-Descent's selling point is metric genericity: the algorithm only ever
 // calls θ(v₁, v₂) (paper §3.1), so every functor here has the same shape —
-// two element spans in, a float out, smaller = closer. The evaluation
-// datasets (Table 1) use L2, cosine and Jaccard; inner product is included
-// because Big-ANN-Benchmarks track it and it exercises the "similarity
-// converted to distance" path.
+// two element spans in, a float out, smaller = closer. These are the
+// metrics of the evaluation datasets (Table 1): L2, cosine and Jaccard.
 //
 // Variable-length spans make sparse metrics (Jaccard over sorted id sets,
 // Kosarak-style) first-class rather than a bolt-on.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <string_view>
 
 #include "core/distance_kernels.hpp"
@@ -23,12 +18,12 @@
 
 namespace dnnd::core {
 
-// The dense arithmetic metrics (squared-L2 / cosine / inner product over
-// float or uint8 elements) route through core/distance_kernels.hpp: the
-// blocked 8-lane reduction there is the canonical definition of these
-// distances, identical bit-for-bit between the scalar reference and the
-// runtime-dispatched AVX2 variant. Other element types and the remaining
-// metrics keep the straightforward element loops below.
+// The dense arithmetic metrics (squared-L2 / cosine over float or uint8
+// elements) route through core/distance_kernels.hpp: the blocked 8-lane
+// reduction there is the canonical definition of these distances,
+// identical bit-for-bit between the scalar reference and the
+// runtime-dispatched AVX2 variant. Other element types and Jaccard keep
+// the straightforward element loops below.
 
 /// Squared Euclidean distance. Monotone in L2, so k-NN ranking under it is
 /// identical while skipping the sqrt; construction uses this internally.
@@ -73,23 +68,6 @@ template <typename T>
   }
 }
 
-/// Inner-product "distance": -<a, b>, so that larger similarity sorts
-/// closer. Not a metric; NN-Descent does not require one.
-template <typename T>
-[[nodiscard]] Dist neg_inner_product(std::span<const T> a,
-                                     std::span<const T> b) {
-  if constexpr (kIsKernelElement<T>) {
-    return k_inner_product(a.data(), b.data(), a.size());
-  } else {
-    Dist dot = 0;
-    const std::size_t n = a.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      dot += static_cast<Dist>(a[i]) * static_cast<Dist>(b[i]);
-    }
-    return -dot;
-  }
-}
-
 /// Jaccard distance over *sorted* sparse id sets: 1 - |a∩b| / |a∪b|.
 /// This is the Kosarak representation (each point is the set of item ids).
 template <typename T>
@@ -111,82 +89,16 @@ template <typename T>
   return Dist{1} - static_cast<Dist>(common) / static_cast<Dist>(uni);
 }
 
-/// Manhattan (L1) distance.
-template <typename T>
-[[nodiscard]] Dist l1(std::span<const T> a, std::span<const T> b) {
-  Dist sum = 0;
-  const std::size_t n = a.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    sum += std::abs(static_cast<Dist>(a[i]) - static_cast<Dist>(b[i]));
-  }
-  return sum;
-}
-
-/// Chebyshev (L∞) distance.
-template <typename T>
-[[nodiscard]] Dist chebyshev(std::span<const T> a, std::span<const T> b) {
-  Dist worst = 0;
-  const std::size_t n = a.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    worst = std::max(worst,
-                     std::abs(static_cast<Dist>(a[i]) - static_cast<Dist>(b[i])));
-  }
-  return worst;
-}
-
-/// Hamming distance over integral element vectors (count of differing
-/// positions); the binary-embedding metric in ANN-Benchmarks.
-template <typename T>
-  requires std::is_integral_v<T>
-[[nodiscard]] Dist hamming(std::span<const T> a, std::span<const T> b) {
-  std::size_t diff = 0;
-  const std::size_t n = a.size();
-  for (std::size_t i = 0; i < n; ++i) diff += (a[i] != b[i]) ? 1 : 0;
-  return static_cast<Dist>(diff);
-}
-
-/// Runtime metric tag for tooling (dataset registry, CLI examples).
-enum class Metric {
-  kL2,
-  kSquaredL2,
-  kCosine,
-  kJaccard,
-  kInnerProduct,
-  kL1,
-  kChebyshev
-};
+/// A dataset's metric in the registry (data/datasets.hpp).
+enum class Metric { kL2, kCosine, kJaccard };
 
 [[nodiscard]] constexpr std::string_view metric_name(Metric m) noexcept {
   switch (m) {
     case Metric::kL2: return "L2";
-    case Metric::kSquaredL2: return "SqL2";
     case Metric::kCosine: return "Cosine";
     case Metric::kJaccard: return "Jaccard";
-    case Metric::kInnerProduct: return "InnerProduct";
-    case Metric::kL1: return "L1";
-    case Metric::kChebyshev: return "Chebyshev";
   }
   return "?";
 }
-
-/// Runtime-dispatched distance functor; use the raw functions above in
-/// inner loops where the metric is a compile-time template parameter.
-template <typename T>
-struct MetricFn {
-  Metric metric = Metric::kL2;
-
-  Dist operator()(std::span<const T> a, std::span<const T> b) const {
-    switch (metric) {
-      case Metric::kL2: return l2(a, b);
-      case Metric::kSquaredL2: return squared_l2(a, b);
-      case Metric::kCosine: return cosine(a, b);
-      case Metric::kJaccard: return jaccard_sorted(a, b);
-      case Metric::kInnerProduct: return neg_inner_product(a, b);
-      case Metric::kL1: return l1(a, b);
-      case Metric::kChebyshev: return chebyshev(a, b);
-    }
-    throw std::logic_error("MetricFn: unknown metric");
-  }
-};
 
 }  // namespace dnnd::core

@@ -22,9 +22,9 @@
 // operations are plain IEEE mul/sub/add (no FMA contraction: the kernel
 // translation units are compiled with -ffp-contract=off), so the scalar
 // and SIMD paths execute the identical rounded operation sequence and
-// return bit-identical Dist values. Rows padded with zeros (see
-// DenseBlockStore) are covered by the same contract: a zero element
-// contributes an exact +0.0 to its lane, which never changes the sum.
+// return bit-identical Dist values. Zero elements past a row's end are
+// covered by the same contract: a zero element contributes an exact +0.0
+// to its lane, which never changes the sum.
 //
 // Because graph construction consumes only these values, a build is a
 // pure function of (dataset, seed, config) regardless of dispatch — the
@@ -272,17 +272,6 @@ struct CosineKernel {
   void batch(const T* q, const T* const* rows, std::size_t count,
              std::size_t dim, Dist* out) const {
     k_batch_cosine(q, rows, count, dim, out);
-  }
-};
-
-template <typename T>
-struct InnerProductKernel {
-  Dist operator()(std::span<const T> a, std::span<const T> b) const {
-    return k_inner_product(a.data(), b.data(), a.size());
-  }
-  void batch(const T* q, const T* const* rows, std::size_t count,
-             std::size_t dim, Dist* out) const {
-    k_batch_inner_product(q, rows, count, dim, out);
   }
 };
 

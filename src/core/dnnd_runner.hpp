@@ -12,7 +12,7 @@
 // Besides wall time, the runner accumulates a *simulated parallel time*:
 // for every barrier-delimited superstep it takes the maximum per-rank work
 // delta (distance evaluations weighted by feature length + bytes sent
-// weighted by a configurable cost). The sequential driver runs one rank at
+// weighted by a fixed per-byte cost). The sequential driver runs one rank at
 // a time, so its wall time cannot shrink as ranks are added; this is the
 // quantity that scales the way the paper's Figure 3 does — see DESIGN.md
 // §2 and EXPERIMENTS.md.
@@ -38,11 +38,11 @@
 namespace dnnd::core {
 
 /// Cost model for simulated parallel time (arbitrary units; only ratios
-/// across rank counts matter for the scaling study).
-struct WorkModel {
-  double per_feature_element = 1.0;  ///< cost of one element in a θ() eval
-  double per_sent_byte = 0.25;       ///< network cost per serialized byte
-};
+/// across rank counts matter for the scaling study): DnndRunner::work_of
+/// charges a rank one unit per feature element of a θ() evaluation and a
+/// quarter unit per serialized byte it sends.
+inline constexpr double kWorkPerFeatureElement = 1.0;
+inline constexpr double kWorkPerSentByte = 0.25;
 
 /// Cost of one named phase accumulated across a run (§7: profiling).
 struct PhaseCost {
@@ -67,11 +67,9 @@ class DnndRunner {
   /// Partition::even_ranges + an RP-reordered dataset for locality-aware
   /// placement (core/partition.hpp).
   DnndRunner(comm::Environment& env, DnndConfig config, DistanceFn distance,
-             WorkModel work_model = {},
              std::optional<Partition> partition = std::nullopt)
       : env_(&env),
         config_(config),
-        work_model_(work_model),
         partition_(partition.has_value() ? std::move(*partition)
                                          : Partition::hash(env.num_ranks())) {
     if (partition_.num_ranks() != env.num_ranks()) {
@@ -447,8 +445,8 @@ class DnndRunner {
     const double dim =
         static_cast<double>(std::max<std::size_t>(1, engine.local_points().dim()));
     return static_cast<double>(engine.distance_evals()) * dim *
-               work_model_.per_feature_element +
-           bytes * work_model_.per_sent_byte;
+               kWorkPerFeatureElement +
+           bytes * kWorkPerSentByte;
   }
 
   /// Runs one superstep and charges max-over-ranks work to the simulated
@@ -506,7 +504,6 @@ class DnndRunner {
 
   comm::Environment* env_;
   DnndConfig config_;
-  WorkModel work_model_;
   Partition partition_ = Partition::hash(1);
   std::vector<std::unique_ptr<DnndEngine<T, DistanceFn>>> engines_;
   std::vector<std::unique_ptr<comm::Collectives>> collectives_;

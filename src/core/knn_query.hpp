@@ -24,7 +24,6 @@
 #include "core/feature_store.hpp"
 #include "core/knn_graph.hpp"
 #include "core/neighbor_list.hpp"
-#include "core/rp_tree.hpp"
 #include "core/types.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -66,14 +65,6 @@ class GraphSearcher {
                 DistanceFn distance)
       : graph_(&graph), points_(&points), distance_(std::move(distance)) {}
 
-  /// Attaches an RP-forest for entry-point selection (the PyNNDescent
-  /// strategy, paper §6): searches seed the frontier from the leaf the
-  /// query routes to, topped up with random points to the configured
-  /// entry count. The forest must outlive the searcher.
-  void set_entry_forest(const RpForest<T>* forest) noexcept {
-    forest_ = forest;
-  }
-
   [[nodiscard]] SearchResult search(std::span<const T> query,
                                     const SearchParams& params) const {
     SearchResult result;
@@ -92,16 +83,6 @@ class GraphSearcher {
         params.num_entry_points > 0 ? params.num_entry_points
                                     : params.num_neighbors,
         n);
-    if (forest_ != nullptr && !forest_->empty()) {
-      for (const VertexId v : forest_->entry_candidates(query)) {
-        if (visited[v]) continue;
-        visited[v] = true;
-        ++result.visited;
-        const Dist d = eval(result, query, v);
-        best.update(v, d, false);
-        frontier.emplace(d, v);
-      }
-    }
     // Random entries are drawn from the *point store* rather than the id
     // range: after dynamic deletions vertex ids are no longer dense, and
     // only stored points can be evaluated.
@@ -230,7 +211,6 @@ class GraphSearcher {
   const KnnGraph* graph_;
   const Store* points_;
   DistanceFn distance_;
-  const RpForest<T>* forest_ = nullptr;
 };
 
 /// Deduction guide: GraphSearcher(graph, store, fn) infers T from the

@@ -134,20 +134,6 @@ class ReplicaMap {
   int factor_ = 1;
 };
 
-/// Spatial reordering for locality partitioning: returns the ids of
-/// `points` permuted by one RP-tree's leaf traversal (points in the same
-/// leaf — spatial neighbors — become contiguous).
-template <typename T>
-std::vector<VertexId> rp_tree_order(const FeatureStore<T>& points,
-                                    std::uint64_t seed = 1337) {
-  RpTreeParams params;
-  params.num_trees = 1;
-  params.seed = seed;
-  const RpForest<T> forest(points, params);
-  return std::vector<VertexId>(forest.leaf_order(0).begin(),
-                               forest.leaf_order(0).end());
-}
-
 /// Builds a new store with dense ids 0..N-1 assigned in `order`; returns
 /// the reordered store plus old-id lookup (new id -> original id).
 template <typename T>

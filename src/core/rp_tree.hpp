@@ -1,18 +1,14 @@
-// Random-projection tree for query entry-point selection.
+// Random-projection tree order for locality partitioning.
 //
-// PyNNDescent "divides data points using a random projection tree and
-// selects the search's starting point based on this information" (paper
-// §6). Purely random entry points work on well-connected graphs, but on
-// clustered data they start the greedy search in the wrong region; an
-// RP-tree routes the query to a leaf of nearby points first.
-//
-// Construction: recursively split on the sign of a projection onto the
-// difference of two randomly chosen points (the classic RP-split used by
-// Dasgupta & Freund and by PyNNDescent), stopping at `leaf_size`. Query:
-// descend to a leaf, seed the frontier with its members. Multiple trees
-// (a small forest) union their leaves for robustness.
+// Recursively splits the points on the sign of a projection onto the
+// difference of two randomly chosen anchors (the classic RP-split used by
+// Dasgupta & Freund and by PyNNDescent), stopping at leaves of at most
+// kRpLeafSize points. Listing the leaves left to right makes spatial
+// neighbors contiguous, which is what range placement needs
+// (core/partition.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -23,163 +19,71 @@
 
 namespace dnnd::core {
 
-struct RpTreeParams {
-  std::size_t leaf_size = 30;
-  std::size_t num_trees = 2;
-  std::uint64_t seed = 505;
-  std::size_t max_depth = 64;  ///< guards against degenerate splits
-};
+namespace detail {
 
-/// A forest of RP-trees over a dense float-convertible feature store.
-/// T must be an arithmetic element type (float, uint8, ...).
+inline constexpr std::size_t kRpLeafSize = 30;
+inline constexpr std::size_t kRpMaxDepth = 64;  ///< guards degenerate splits
+
+/// <q, a - b>, accumulated in float element by element.
 template <typename T>
-class RpForest {
- public:
-  RpForest() = default;
-
-  RpForest(const FeatureStore<T>& points, RpTreeParams params)
-      : points_(&points), params_(params) {
-    util::Xoshiro256 rng(params.seed);
-    trees_.reserve(params.num_trees);
-    for (std::size_t t = 0; t < params.num_trees; ++t) {
-      trees_.push_back(build_tree(rng));
-    }
+[[nodiscard]] float rp_project(std::span<const T> q, std::span<const T> a,
+                               std::span<const T> b) {
+  float dot = 0;
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    dot += static_cast<float>(q[i]) *
+           (static_cast<float>(a[i]) - static_cast<float>(b[i]));
   }
+  return dot;
+}
 
-  [[nodiscard]] bool empty() const noexcept { return trees_.empty(); }
+/// Splits order[begin, end) in place, then its left and right halves.
+template <typename T>
+void rp_split(const FeatureStore<T>& points, std::vector<VertexId>& order,
+              std::uint32_t begin, std::uint32_t end, std::size_t depth,
+              util::Xoshiro256& rng) {
+  if (end - begin <= kRpLeafSize || depth >= kRpMaxDepth) return;
 
-  /// Entry candidates for `query`: union of the leaves the query lands in
-  /// across all trees (deduplicated, insertion order preserved).
-  [[nodiscard]] std::vector<VertexId> entry_candidates(
-      std::span<const T> query) const {
-    std::vector<VertexId> out;
-    for (const auto& tree : trees_) {
-      if (tree.nodes.empty()) continue;  // empty point store
-      std::int32_t node = 0;
-      while (node >= 0 && !tree.nodes[static_cast<std::size_t>(node)].is_leaf()) {
-        const auto& n = tree.nodes[static_cast<std::size_t>(node)];
-        node = project(query, n) <= n.threshold ? n.left : n.right;
-      }
-      if (node < 0) continue;
-      const auto& leaf = tree.nodes[static_cast<std::size_t>(node)];
-      for (std::uint32_t i = leaf.begin; i < leaf.end; ++i) {
-        const VertexId v = tree.order[i];
-        if (std::find(out.begin(), out.end(), v) == out.end()) {
-          out.push_back(v);
-        }
-      }
-    }
-    return out;
+  // Pick two distinct anchor points from the range.
+  const std::uint32_t span = end - begin;
+  const VertexId a = order[begin + rng.uniform_below(span)];
+  VertexId b = a;
+  for (int tries = 0; tries < 8 && b == a; ++tries) {
+    b = order[begin + rng.uniform_below(span)];
   }
+  if (b == a) return;  // give up: all samples collided
 
-  [[nodiscard]] std::size_t num_trees() const noexcept { return trees_.size(); }
-
-  /// The ids permuted by tree `t`'s construction: leaves are contiguous
-  /// runs, so this order groups spatial neighbors (used for locality
-  /// partitioning, core/partition.hpp).
-  [[nodiscard]] std::span<const VertexId> leaf_order(std::size_t t) const {
-    return trees_.at(t).order;
+  // Threshold at the midpoint of the two anchors' projections, so the
+  // split passes between them.
+  const auto pa = points[a];
+  const auto pb = points[b];
+  const float threshold =
+      0.5f * (rp_project(pa, pa, pb) + rp_project(pb, pa, pb));
+  const auto mid = std::partition(
+      order.begin() + begin, order.begin() + end,
+      [&](VertexId v) { return rp_project(points[v], pa, pb) <= threshold; });
+  auto cut = static_cast<std::uint32_t>(mid - order.begin());
+  if (cut == begin || cut == end) {
+    // Degenerate split (duplicates / colinear data): fall back to a
+    // balanced cut so depth stays logarithmic.
+    cut = begin + span / 2;
   }
+  rp_split(points, order, begin, cut, depth + 1, rng);
+  rp_split(points, order, cut, end, depth + 1, rng);
+}
 
- private:
-  struct Node {
-    // Internal node: projection = points[a] - points[b]; descend left when
-    // <q - midpoint, a - b> <= 0, encoded as threshold on <q, a-b>.
-    VertexId a = kInvalidVertex;
-    VertexId b = kInvalidVertex;
-    float threshold = 0;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    // Leaf: [begin, end) into `order`.
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
+}  // namespace detail
 
-    [[nodiscard]] bool is_leaf() const noexcept { return left < 0; }
-  };
-
-  struct Tree {
-    std::vector<Node> nodes;
-    std::vector<VertexId> order;  ///< permutation of local indices
-  };
-
-  [[nodiscard]] float project(std::span<const T> q, const Node& n) const {
-    const auto pa = (*points_)[n.a];
-    const auto pb = (*points_)[n.b];
-    float dot = 0;
-    const std::size_t dim = q.size();
-    for (std::size_t i = 0; i < dim; ++i) {
-      dot += static_cast<float>(q[i]) *
-             (static_cast<float>(pa[i]) - static_cast<float>(pb[i]));
-    }
-    return dot;
-  }
-
-  Tree build_tree(util::Xoshiro256& rng) {
-    Tree tree;
-    const std::size_t n = points_->size();
-    tree.order.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      tree.order[i] = points_->id_at(i);
-    }
-    if (n > 0) split(tree, 0, static_cast<std::uint32_t>(n), 0, rng);
-    return tree;
-  }
-
-  /// Builds the subtree over order[begin, end); returns its node index.
-  std::int32_t split(Tree& tree, std::uint32_t begin, std::uint32_t end,
-                     std::size_t depth, util::Xoshiro256& rng) {
-    const auto index = static_cast<std::int32_t>(tree.nodes.size());
-    tree.nodes.push_back(Node{});
-    if (end - begin <= params_.leaf_size || depth >= params_.max_depth) {
-      tree.nodes[static_cast<std::size_t>(index)].begin = begin;
-      tree.nodes[static_cast<std::size_t>(index)].end = end;
-      return index;
-    }
-
-    // Pick two distinct anchor points from the range.
-    const std::uint32_t span = end - begin;
-    const VertexId a = tree.order[begin + rng.uniform_below(span)];
-    VertexId b = a;
-    for (int tries = 0; tries < 8 && b == a; ++tries) {
-      b = tree.order[begin + rng.uniform_below(span)];
-    }
-    if (b == a) {  // give up: all samples collided
-      tree.nodes[static_cast<std::size_t>(index)].begin = begin;
-      tree.nodes[static_cast<std::size_t>(index)].end = end;
-      return index;
-    }
-
-    Node probe;
-    probe.a = a;
-    probe.b = b;
-    // Threshold at the midpoint of the two anchors' projections, so the
-    // split passes between them.
-    probe.threshold = 0.5f * (project((*points_)[a], probe) +
-                              project((*points_)[b], probe));
-
-    const auto mid = std::partition(
-        tree.order.begin() + begin, tree.order.begin() + end,
-        [&](VertexId v) { return project((*points_)[v], probe) <= probe.threshold; });
-    auto cut = static_cast<std::uint32_t>(mid - tree.order.begin());
-    if (cut == begin || cut == end) {
-      // Degenerate split (duplicates / colinear data): fall back to a
-      // balanced cut so depth stays logarithmic.
-      cut = begin + span / 2;
-    }
-
-    tree.nodes[static_cast<std::size_t>(index)].a = probe.a;
-    tree.nodes[static_cast<std::size_t>(index)].b = probe.b;
-    tree.nodes[static_cast<std::size_t>(index)].threshold = probe.threshold;
-    const std::int32_t left = split(tree, begin, cut, depth + 1, rng);
-    const std::int32_t right = split(tree, cut, end, depth + 1, rng);
-    tree.nodes[static_cast<std::size_t>(index)].left = left;
-    tree.nodes[static_cast<std::size_t>(index)].right = right;
-    return index;
-  }
-
-  const FeatureStore<T>* points_ = nullptr;
-  RpTreeParams params_;
-  std::vector<Tree> trees_;
-};
+/// Spatial reordering for locality partitioning: returns the ids of
+/// `points` permuted by one RP-tree's leaf traversal (points in the same
+/// leaf — spatial neighbors — become contiguous).
+template <typename T>
+std::vector<VertexId> rp_tree_order(const FeatureStore<T>& points,
+                                    std::uint64_t seed = 1337) {
+  std::vector<VertexId> order(points.ids().begin(), points.ids().end());
+  util::Xoshiro256 rng(seed);
+  detail::rp_split(points, order, 0, static_cast<std::uint32_t>(order.size()),
+                   0, rng);
+  return order;
+}
 
 }  // namespace dnnd::core

@@ -1,6 +1,6 @@
 // Per-rank metrics registry: counters, gauges, and fixed-bucket log-scale
 // histograms, all mergeable across ranks (same discipline as
-// util::RunningStats::merge and comm::MessageStats::merge).
+// comm::MessageStats::merge).
 //
 // The paper's evaluation is built on per-phase, per-message-type
 // accounting (Fig. 4 message/byte breakdowns, the §5.4 batch-size
@@ -16,7 +16,7 @@
 //              instantaneous levels like queue depth; the cross-rank
 //              aggregate of interest is the high-water mark)
 //   histogram  bucket-wise sum (fixed log2 bucket layout, so merging is
-//              associative and commutative like RunningStats)
+//              associative and commutative)
 //
 // Unlike MessageStats, merge matches metrics *by name*, so registries
 // with different registration orders — or disjoint metric sets — merge

@@ -29,8 +29,8 @@
 namespace dnnd::telemetry {
 
 /// Microseconds since the process-global telemetry epoch (the first call
-/// in the process). Monotonic; shared by every rank in the simulation and
-/// by the structured logger (util::monotonic_us under the hood).
+/// in the process). Monotonic; shared by every rank in the simulation
+/// (util::monotonic_us under the hood).
 [[nodiscard]] std::uint64_t now_us();
 
 /// Renders a trace/span id the way every exporter spells it ("0x" + hex),

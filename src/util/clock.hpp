@@ -1,7 +1,7 @@
 // Process-global monotonic clock, microsecond resolution.
 //
 // Every timestamped artifact a run produces — trace spans, flow events,
-// time-series snapshots, structured log lines — must share one origin or
+// time-series snapshots — must share one origin or
 // they cannot be correlated offline. This is that origin: the first call
 // in the process pins the epoch, and every later call (from any thread /
 // simulated rank) reports microseconds since it. Exporters additionally

@@ -1,15 +1,12 @@
 // Tests for dynamic graph updates (paper §7 future work: points are added
-// or deleted, followed by a short NN-Descent refinement phase) and for the
-// RP-forest query entry selection.
+// or deleted, followed by a short NN-Descent refinement phase).
 #include <gtest/gtest.h>
 
 #include "baselines/brute_force.hpp"
 #include "comm/environment.hpp"
 #include "core/distance.hpp"
 #include "core/dnnd_runner.hpp"
-#include "core/knn_query.hpp"
 #include "core/recall.hpp"
-#include "core/rp_tree.hpp"
 #include "data/synthetic.hpp"
 
 namespace {
@@ -243,112 +240,6 @@ TEST(DnndUpdate, InsertThenDeleteRoundTrip) {
     sum += static_cast<double>(hits) / 8.0;
   }
   EXPECT_GT(sum / 300.0, 0.8);
-}
-
-// -- RP-forest entry selection ------------------------------------------------------
-
-TEST(RpForest, CandidatesComeFromTheQueryNeighborhood) {
-  const auto points = family().sample(500, 1);
-  core::RpTreeParams params;
-  params.leaf_size = 25;
-  params.num_trees = 2;
-  const core::RpForest<float> forest(points, params);
-
-  // Candidates for a base point should usually contain points much closer
-  // than random draws would be.
-  util::Xoshiro256 rng(9);
-  double candidate_best = 0, random_best = 0;
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto q = static_cast<core::VertexId>(rng.uniform_below(500));
-    const auto candidates = forest.entry_candidates(points[q]);
-    ASSERT_FALSE(candidates.empty());
-    float best_c = 1e9f, best_r = 1e9f;
-    for (const auto v : candidates) {
-      if (v != q) best_c = std::min(best_c, core::l2(points[q], points[v]));
-    }
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const auto v = static_cast<core::VertexId>(rng.uniform_below(500));
-      if (v != q) best_r = std::min(best_r, core::l2(points[q], points[v]));
-    }
-    candidate_best += best_c;
-    random_best += best_r;
-  }
-  EXPECT_LT(candidate_best, random_best);
-}
-
-TEST(RpForest, LeavesRespectSizeBound) {
-  const auto points = family().sample(400, 1);
-  core::RpTreeParams params;
-  params.leaf_size = 20;
-  params.num_trees = 3;
-  const core::RpForest<float> forest(points, params);
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto candidates =
-        forest.entry_candidates(points[static_cast<core::VertexId>(trial)]);
-    // Union over 3 trees, each leaf <= 20 (degenerate splits can pad a
-    // little via the balanced-cut fallback).
-    EXPECT_LE(candidates.size(), 3u * 20u + 10u);
-    EXPECT_FALSE(candidates.empty());
-  }
-}
-
-TEST(RpForest, ImprovesSearchOnSeparatedClusters) {
-  // Widely separated clusters: random entries frequently miss the query's
-  // cluster; RP-tree routing should not.
-  data::MixtureSpec spec;
-  spec.dim = 16;
-  spec.num_clusters = 20;
-  spec.center_range = 20.0f;
-  spec.cluster_std = 0.5f;
-  spec.seed = 62;
-  const data::GaussianMixture fam(spec);
-  const auto base = fam.sample(800, 1);
-  const auto queries = fam.sample(40, 2);
-  const auto truth =
-      baselines::brute_force_query_batch(base, queries, L2Fn{}, 10);
-
-  comm::Environment env(comm::Config{.num_ranks = 4});
-  core::DnndConfig cfg;
-  cfg.k = 10;
-  core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
-  runner.distribute(base);
-  runner.build();
-  runner.optimize();
-  const auto graph = runner.gather();
-
-  core::GraphSearcher searcher(graph, base, L2Fn{});
-  core::SearchParams params;
-  params.num_neighbors = 10;
-  params.epsilon = 0.2;
-
-  auto run_queries = [&]() {
-    std::vector<std::vector<core::Neighbor>> computed;
-    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-      computed.push_back(searcher.search(queries.row(qi), params).neighbors);
-    }
-    return core::mean_query_recall(computed, truth, 10);
-  };
-
-  const double without = run_queries();
-  const core::RpForest<float> forest(base, core::RpTreeParams{});
-  searcher.set_entry_forest(&forest);
-  const double with = run_queries();
-  EXPECT_GT(with, without + 0.1)
-      << "RP-forest should rescue disconnected-cluster queries";
-  EXPECT_GT(with, 0.9);
-}
-
-TEST(RpForest, HandlesTinyAndEmptyStores) {
-  core::FeatureStore<float> empty;
-  const core::RpForest<float> forest0(empty, core::RpTreeParams{});
-  EXPECT_FALSE(forest0.empty());  // trees exist, leaves are empty
-  EXPECT_TRUE(forest0.entry_candidates(std::vector<float>{1.f}).empty());
-
-  core::FeatureStore<float> one(1, 2, {1.f, 2.f});
-  const core::RpForest<float> forest1(one, core::RpTreeParams{});
-  const auto c = forest1.entry_candidates(std::vector<float>{0.f, 0.f});
-  ASSERT_EQ(c.size(), 1u);
-  EXPECT_EQ(c[0], 0u);
 }
 
 }  // namespace

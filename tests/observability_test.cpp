@@ -6,9 +6,8 @@
 //   * envelope cost: an untraced message serializes the same bytes as a
 //     plain handler id, a traced one strictly more;
 //   * the acceptance run — a 4-rank NN-Descent build — emits a Chrome
-//     trace with cross-rank-connected flow events, a timeseries document
-//     with at least one snapshot per iteration, and structured JSON log
-//     lines that carry the active trace id.
+//     trace with cross-rank-connected flow events and a timeseries
+//     document with at least one snapshot per iteration.
 //
 // Every JSON assertion goes through util::json::parse, so "the artifact
 // is valid" is checked by a parser, not by substring luck.
@@ -26,7 +25,6 @@
 #include "core/dnnd_runner.hpp"
 #include "data/synthetic.hpp"
 #include "util/json.hpp"
-#include "util/logging.hpp"
 
 namespace {
 
@@ -293,68 +291,6 @@ TEST(Observability, FourRankBuildEmitsConnectedFlowsAndIterationSnapshots) {
   EXPECT_GT(finishes, 0u);
   EXPECT_GT(cross_rank_flows, 0u)
       << "no flow connected two different ranks in a 4-rank build";
-}
-
-// ---------------------------------------------------------------------------
-// Structured logs join the trace
-// ---------------------------------------------------------------------------
-
-TEST(Observability, JsonLogLinesFromTracedHandlersCarryTheTraceId) {
-  std::vector<std::string> lines;
-  util::set_log_sink([&lines](std::string_view line) {
-    lines.emplace_back(line);
-  });
-  const auto prev_level = util::log_level();
-  util::set_log_level(util::LogLevel::kInfo);
-  util::set_log_format(util::LogFormat::kJson);
-
-  Config cfg;
-  cfg.num_ranks = 2;
-  cfg.send_buffer_bytes = 0;
-  cfg.trace_sample_period = 1;
-  Environment env(cfg);
-  std::vector<HandlerId> h(2);
-  for (int r = 0; r < 2; ++r) {
-    h[r] = env.comm(r).register_handler(
-        "work", [r](int, serial::InArchive& ar) {
-          (void)ar.read<std::uint32_t>();
-          util::log_line(util::LogLevel::kInfo, r, "handled");
-        });
-  }
-  env.execute_phase([&](int rank) {
-    if (rank == 0) env.comm(0).async(1, h[0], std::uint32_t{1});
-  });
-  util::log_line(util::LogLevel::kInfo, 0,
-                 "outside");  // no active span -> no trace field
-
-  util::set_log_sink(nullptr);
-  util::set_log_format(util::LogFormat::kText);
-  util::set_log_level(prev_level);
-
-  ASSERT_EQ(lines.size(), 2u);
-  const auto inside = json::parse(lines[0]);
-  EXPECT_EQ(inside.at("level").as_string(), "INFO");
-  EXPECT_EQ(inside.at("rank").as_number(), 1.0);
-  EXPECT_EQ(inside.at("msg").as_string(), "handled");
-  ASSERT_TRUE(inside.contains("trace"));
-  EXPECT_EQ(inside.at("trace").as_string().substr(0, 2), "0x");
-
-  const auto outside = json::parse(lines[1]);
-  EXPECT_FALSE(outside.contains("trace"));
-  EXPECT_TRUE(outside.contains("ts_us"));
-
-  // The logged trace id matches a trace that actually exists.
-  std::ostringstream os;
-  env.write_chrome_trace(os);
-  std::set<std::string> trace_ids;
-  const auto trace_doc = json::parse(os.str());
-  for (const auto& e : trace_doc.at("traceEvents").as_array()) {
-    if (e.at("ph").as_string() == "X" && e.contains("args") &&
-        e.at("args").contains("trace")) {
-      trace_ids.insert(e.at("args").at("trace").as_string());
-    }
-  }
-  EXPECT_TRUE(trace_ids.contains(inside.at("trace").as_string()));
 }
 
 }  // namespace

@@ -76,6 +76,11 @@ TEST(Partition, RpTreeOrderIsAPermutation) {
   EXPECT_EQ(seen.size(), 300u);
   EXPECT_EQ(*seen.begin(), 0u);
   EXPECT_EQ(*seen.rbegin(), 299u);
+
+  // Stores too small to split come back as they are.
+  EXPECT_TRUE(core::rp_tree_order(core::FeatureStore<float>{}).empty());
+  const core::FeatureStore<float> one(1, 2, {1.f, 2.f});
+  EXPECT_EQ(core::rp_tree_order(one), std::vector<VertexId>{0});
 }
 
 TEST(Partition, RpOrderGroupsSpatialNeighbors) {
@@ -119,7 +124,7 @@ TEST(Partition, RunnerRejectsMismatchedRankCount) {
   comm::Environment env(comm::Config{.num_ranks = 4});
   core::DnndConfig cfg;
   EXPECT_THROW(
-      (core::DnndRunner<float, L2Fn>(env, cfg, L2Fn{}, {},
+      (core::DnndRunner<float, L2Fn>(env, cfg, L2Fn{},
                                      Partition::hash(8))),
       std::invalid_argument);
 }
@@ -138,7 +143,7 @@ TEST(Partition, LocalityPartitionKeepsQualityAndCutsTraffic) {
   auto run = [&](const core::FeatureStore<float>& base,
                  std::optional<Partition> partition) {
     comm::Environment env(comm::Config{.num_ranks = 8});
-    core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{}, {},
+    core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{},
                                          std::move(partition));
     runner.distribute(base);
     runner.build();
