@@ -11,7 +11,11 @@
 //   full          all three (the Figure 4 "optimized" configuration)
 //
 // It also verifies the ablations do not cost quality (recall per config).
+// "logical" counts the paper's per-pair check messages sent off-node (for
+// the optimized rows, the engine.logical_msgs.* counters, since those
+// checks travel in bundles); "wire" is what the check labels sent.
 #include <cinttypes>
+#include <string>
 
 #include "common.hpp"
 
@@ -46,8 +50,8 @@ int main() {
       {"full (Fig 1b)", true, true, true},
   };
 
-  std::printf("%-24s %12s %14s %10s %8s\n", "configuration", "messages",
-              "bytes", "recall", "iters");
+  std::printf("%-24s %12s %12s %14s %10s %8s\n", "configuration",
+              "logical", "wire msgs", "wire bytes", "recall", "iters");
   bench::print_rule();
 
   std::uint64_t baseline_msgs = 0, baseline_bytes = 0;
@@ -62,21 +66,31 @@ int main() {
     runner.distribute(base);
     const auto stats = runner.build();
     const auto comm_stats = env.aggregate_stats();
-    std::uint64_t messages = 0, bytes = 0;
+    std::uint64_t wire_msgs = 0, bytes = 0;
     for (const char* label :
          {"type1", "type2plus", "type3", "type1_unopt", "type2_unopt"}) {
       const auto c = comm_stats.by_label(label);
-      messages += c.remote_messages;
+      wire_msgs += c.remote_messages;
       bytes += c.remote_bytes;
+    }
+    std::uint64_t messages = wire_msgs;  // per pair when unoptimized
+    if (config.optimized) {
+      const auto metrics = env.aggregate_metrics();
+      messages = 0;
+      for (const char* type : {"type1", "type2plus", "type3"}) {
+        messages += metrics.counter_value(
+            std::string("engine.logical_msgs.") + type);
+      }
     }
     if (baseline_msgs == 0) {
       baseline_msgs = messages;
       baseline_bytes = bytes;
     }
     const double recall = core::graph_recall(runner.gather(), exact, 10);
-    std::printf("%-24s %12" PRIu64 " %14" PRIu64 " %10.4f %8zu   "
-                "(%.0f%% msgs, %.0f%% bytes of baseline)\n",
-                config.label, messages, bytes, recall, stats.iterations,
+    std::printf("%-24s %12" PRIu64 " %12" PRIu64 " %14" PRIu64
+                " %10.4f %8zu   (%.0f%% logical, %.0f%% bytes of baseline)\n",
+                config.label, messages, wire_msgs, bytes, recall,
+                stats.iterations,
                 100.0 * static_cast<double>(messages) /
                     static_cast<double>(baseline_msgs),
                 100.0 * static_cast<double>(bytes) /
@@ -84,9 +98,10 @@ int main() {
   }
 
   std::printf(
-      "\nExpected shape: one-sided alone already halves Type-1 traffic; the "
-      "redundant\ncheck removes Type-2+ sends; pruning removes Type-3 "
-      "replies; recall is flat\nacross all rows (the techniques are "
-      "lossless).\n");
+      "\nExpected shape (logical column): one-sided alone already halves "
+      "Type-1 traffic;\nthe redundant check removes Type-2+ sends; pruning "
+      "removes Type-3 replies;\nrecall is flat across all rows (the "
+      "techniques are lossless). Bundling cuts\nthe wire columns of every "
+      "optimized row on top.\n");
   return 0;
 }

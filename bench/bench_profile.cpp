@@ -91,8 +91,10 @@ int main() {
   }
 
   std::printf(
-      "\nReading guide: 'checks' dominating sim-units with type2plus "
-      "dominating bytes\nis the paper's motivation for §4.3 — the feature "
-      "vectors on Type-2 messages\nare the communication bottleneck.\n");
+      "\nReading guide: 'checks' is the neighbor-check phase (a Type-1 "
+      "and a Type-2+\nround per chunk). type2plus leads the bytes: each "
+      "bundle carries u1's feature\nonce per (u1, rank), where the paper's "
+      "per-pair Type-2 messages carried it once\nper pair — the §4.3 "
+      "bottleneck, cut further by bundling.\n");
   return 0;
 }

@@ -6,7 +6,6 @@
 // generating synthetic query ground truth (the Big-ANN datasets ship
 // theirs; ours are computed).
 //
-// Store-generic over the FeatureStore read interface (row, id_at, size).
 // With a batch-capable distance functor the row loops go through the
 // one-query-vs-many kernels in fixed-size chunks; update order is
 // identical to the pairwise loops, so the graph is the same either way.
@@ -14,6 +13,7 @@
 
 #include <algorithm>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/distance_kernels.hpp"
@@ -29,11 +29,10 @@ namespace detail {
 /// Evaluates `query` against rows [begin, end) of `points` and calls
 /// sink(row_index, distance) in row order, batching when the functor
 /// supports it.
-template <typename Store, typename DistanceFn, typename Sink>
-void eval_rows(const Store& points, std::span<const typename Store::value_type> query,
+template <typename T, typename DistanceFn, typename Sink>
+void eval_rows(const core::FeatureStore<T>& points, std::span<const T> query,
                DistanceFn& distance, std::size_t begin, std::size_t end,
                Sink&& sink) {
-  using T = typename Store::value_type;
   if constexpr (core::BatchDistance<DistanceFn, T>) {
     constexpr std::size_t kChunk = 512;
     std::vector<const T*> rows;
@@ -51,7 +50,7 @@ void eval_rows(const Store& points, std::span<const typename Store::value_type> 
     }
   } else {
     for (std::size_t j = begin; j < end; ++j) {
-      sink(j, distance(query, std::span<const T>(points.row(j))));
+      sink(j, distance(query, points.row(j)));
     }
   }
 }
@@ -61,9 +60,9 @@ void eval_rows(const Store& points, std::span<const typename Store::value_type> 
 /// Exact K-NNG over all pairs (θ symmetric: each pair evaluated once).
 /// Vertices are the store's *ids* (which need not be dense — e.g. a
 /// survivor set after deletions); the graph spans [0, max id].
-template <typename Store, typename DistanceFn>
-core::KnnGraph brute_force_knn_graph(const Store& points, DistanceFn distance,
-                                     std::size_t k) {
+template <typename T, typename DistanceFn>
+core::KnnGraph brute_force_knn_graph(const core::FeatureStore<T>& points,
+                                     DistanceFn distance, std::size_t k) {
   const std::size_t n = points.size();
   std::vector<core::NeighborList> lists(n, core::NeighborList(k));
   core::VertexId max_id = 0;
@@ -83,10 +82,11 @@ core::KnnGraph brute_force_knn_graph(const Store& points, DistanceFn distance,
 }
 
 /// Exact top-k ids for one query, ascending by distance.
-template <typename Store, typename DistanceFn>
+template <typename T, typename DistanceFn>
 std::vector<core::VertexId> brute_force_query(
-    const Store& points, std::span<const typename Store::value_type> query,
-    DistanceFn distance, std::size_t k) {
+    const core::FeatureStore<T>& points,
+    std::type_identity_t<std::span<const T>> query, DistanceFn distance,
+    std::size_t k) {
   core::NeighborList best(k);
   detail::eval_rows(points, query, distance, 0, points.size(),
                     [&](std::size_t i, core::Dist d) {
@@ -99,10 +99,10 @@ std::vector<core::VertexId> brute_force_query(
 }
 
 /// Exact ground truth for a query batch.
-template <typename Store, typename QueryStore, typename DistanceFn>
+template <typename T, typename DistanceFn>
 std::vector<std::vector<core::VertexId>> brute_force_query_batch(
-    const Store& points, const QueryStore& queries, DistanceFn distance,
-    std::size_t k) {
+    const core::FeatureStore<T>& points, const core::FeatureStore<T>& queries,
+    DistanceFn distance, std::size_t k) {
   std::vector<std::vector<core::VertexId>> out;
   out.reserve(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {

@@ -13,9 +13,12 @@ struct DnndConfig {
   std::size_t max_iterations = 64;  ///< safety bound
 
   // -- §4.4 batched communication ----------------------------------------
-  /// Global async-request budget between application-level barriers. The
-  /// paper uses 2^25–2^29 at billion scale; defaults here suit the
-  /// simulator's scale. Each rank gets batch_size / num_ranks per chunk.
+  /// Global budget of candidate pairs checked between application-level
+  /// barriers (the paper's async-request budget: one request per pair).
+  /// The paper uses 2^25–2^29 at billion scale; defaults here suit the
+  /// simulator's scale. Each rank gets batch_size / num_ranks pairs per
+  /// chunk and ends a chunk at a check-row boundary; init chunks count
+  /// init requests.
   std::uint64_t batch_size = std::uint64_t{1} << 20;
 
   // -- §4.3 communication-saving techniques (independently togglable for

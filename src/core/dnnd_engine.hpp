@@ -12,20 +12,39 @@
 //                         v ships its feature to owner(u), which computes
 //                         θ(v,u) and replies with the distance)
 //   rev_sample            reversed old/new matrix entries (§4.2)
-//   type1                 neighbor-check request: center v tells owner(u1)
-//                         to check the pair (u1, u2)          [optimized]
-//   type2plus             u1's feature + farthest-neighbor bound → u2
-//                         (§4.3.1 one-sided + §4.3.3 bound)   [optimized]
-//   type3                 computed distance returned u2 → u1   [optimized]
-//   type1_unopt           check request sent to *both* endpoints
-//   type2_unopt           full feature exchange, both directions
+//   type1                 bundle per (center v, u1): v's owner sends
+//                         owner(u1) every u2 of u1's check row
+//                                                              [optimized]
+//   type2plus             bundle per (u1, rank): u1's feature and
+//                         farthest-neighbor bound, once, plus the sorted
+//                         u2s that rank owns (§4.3.1 one-sided + §4.3.3
+//                         bound)                               [optimized]
+//   type3                 the bundle's (u2, d) pairs under the bound,
+//                         returned to owner(u1); none if empty [optimized]
+//   type1_unopt           per pair: check request to *both* endpoints
+//   type2_unopt           per pair: full feature exchange, both directions
 //   rev_edge              §4.5 reverse-edge merge for graph optimization
 //
-// Correctness note on §4.3.3 pruning: the bound piggybacked on a Type-2+
-// message is u1's farthest-neighbor distance at send time. Farthest
-// distances only decrease, so a reply suppressed because d >= bound could
-// never have been accepted by u1 later — pruning is lossless. A property
-// test asserts this by comparing optimized and unoptimized runs.
+// Each optimized bundle carries one of the paper's per-pair messages for
+// every candidate pair in it. The engine counts those logical messages
+// (the ones that cross ranks) in engine.logical_msgs.{type1,type2plus,
+// type3}, so Figure 4a still compares the paper's message counts while
+// the wire counters show what the bundles cost.
+//
+// The optimized checks run as two supersteps per §4.4 chunk. In the
+// Type-1 round owner(u1) applies §4.3.2 against u1's list and buffers
+// the survivors by owner(u2); only Type-1 messages are in flight, so no
+// list changes during that round. In the Type-2+ round each rank sorts
+// and dedups its buffers (a pair reached from two centers is checked
+// once), sends the bundles, and owner(u2) evaluates each bundle with one
+// batched kernel call.
+//
+// Correctness note on §4.3.3 pruning: the bound on a Type-2+ bundle is
+// u1's farthest-neighbor distance when the bundle is sent. Farthest
+// distances only decrease, so a pair left out of the Type-3 reply because
+// d >= bound could never have been accepted by u1 later — pruning is
+// lossless. A property test asserts this by comparing optimized and
+// unoptimized runs.
 #pragma once
 
 #include <algorithm>
@@ -65,6 +84,11 @@ class DnndEngine {
         pool_(resolve_threads(config.threads_per_rank)) {
     c_distance_evals_ = comm_->telemetry().counter("engine.distance_evals");
     c_updates_ = comm_->telemetry().counter("engine.updates");
+    c_logical_type1_ = comm_->telemetry().counter("engine.logical_msgs.type1");
+    c_logical_type2plus_ =
+        comm_->telemetry().counter("engine.logical_msgs.type2plus");
+    c_logical_type3_ = comm_->telemetry().counter("engine.logical_msgs.type3");
+    forward_.resize(static_cast<std::size_t>(comm.size()));
     // Pool tasks dispatched by this rank's staged phases. The task
     // decomposition is a pure function of the work shape (size + grain),
     // so the count is bit-identical across thread counts; each task
@@ -102,14 +126,6 @@ class DnndEngine {
   /// Vertex ids are assumed dense in [0, n).
   void set_global_count(std::uint64_t n) { global_n_ = n; }
 
-  /// Distributed ingestion: routes a point read by *this* rank to its
-  /// owner (possibly itself) through the transport — the all-to-all
-  /// exchange a real deployment performs after parallel file reads.
-  void ingest(VertexId id, std::span<const T> feature) {
-    comm_->async(partition_.owner(id), h_ingest_, id,
-                 std::vector<T>(feature.begin(), feature.end()));
-  }
-
   [[nodiscard]] const FeatureStore<T>& local_points() const noexcept {
     return points_;
   }
@@ -137,9 +153,7 @@ class DnndEngine {
       while (init_emitted_ < init_targets_.size()) {
         if (emitted >= quota) return false;
         const VertexId u = init_targets_[init_emitted_++];
-        const auto feature = points_[v];
-        comm_->async(partition_.owner(u), h_init_req_, u, v,
-                     std::vector<T>(feature.begin(), feature.end()));
+        comm_->async(partition_.owner(u), h_init_req_, u, v, points_[v]);
         ++emitted;
       }
       init_targets_.clear();
@@ -204,9 +218,7 @@ class DnndEngine {
       while (pending_emitted_ < config_.k) {
         if (emitted >= quota) return false;
         const int dest = weighted_random_rank();
-        const auto feature = points_[v];
-        comm_->async(dest, h_init_sample_, v,
-                     std::vector<T>(feature.begin(), feature.end()));
+        comm_->async(dest, h_init_sample_, v, points_[v]);
         ++pending_emitted_;
         ++emitted;
       }
@@ -381,41 +393,71 @@ class DnndEngine {
     rev_new_.clear();
     check_vertex_ = 0;
     check_i_ = 0;
-    check_j_ = 1;
   }
 
   // ---- phase: neighbor checks (Alg. 1 lines 17–22, §4.3) ------------------
 
-  /// Emits up to `quota` pair checks; returns true when exhausted.
+  /// Type-1 round: emits check rows worth up to `quota` candidate pairs
+  /// (§4.4; the quota counts pairs, so batch_size keeps its meaning) and
+  /// stops at a row boundary. Returns true when exhausted. With
+  /// optimized checks a row is one Type-1 bundle; unoptimized, it is the
+  /// Figure-1a per-pair messages.
   bool emit_check_chunk(std::uint64_t quota) {
     std::uint64_t emitted = 0;
     while (check_vertex_ < points_.size()) {
       const VertexId v = points_.id_at(check_vertex_);
       const auto& nu = new_ids_[v];
       const auto& ol = old_ids_[v];
-      // Pair space for center v: (i, j) with j indexing first the tail of
-      // the new list (new-new pairs, i < j) and then the old list.
+      // Row i of center v pairs nu[i] with the tail of the new list
+      // (new-new pairs are unordered: j > i) and then the old list.
       while (check_i_ < nu.size()) {
-        const std::size_t row_len = nu.size() + ol.size();
-        while (check_j_ < row_len) {
+        const VertexId u1 = nu[check_i_];
+        check_row_.clear();
+        for (std::size_t j = check_i_ + 1; j < nu.size(); ++j) {
+          if (nu[j] != u1) check_row_.push_back(nu[j]);
+        }
+        for (const VertexId u2 : ol) {
+          if (u2 != u1) check_row_.push_back(u2);
+        }
+        if (!check_row_.empty()) {
           if (emitted >= quota) return false;
-          const VertexId u1 = nu[check_i_];
-          const VertexId u2 = check_j_ < nu.size()
-                                  ? nu[check_j_]
-                                  : ol[check_j_ - nu.size()];
-          ++check_j_;
-          if (u1 == u2) continue;
-          emit_pair(u1, u2);
-          ++emitted;
+          emit_check_row(u1);
+          emitted += check_row_.size();
         }
         ++check_i_;
-        check_j_ = check_i_ + 1;  // new-new pairs are unordered: j > i
       }
       ++check_vertex_;
       check_i_ = 0;
-      check_j_ = 1;
     }
     return true;
+  }
+
+  /// Type-2+ round, after the Type-1 round quiesced: per destination,
+  /// sorts and dedups the pairs owner(u1)'s filter kept, then sends one
+  /// bundle per (u1, destination). Sorting makes the send order
+  /// independent of the order the Type-1 bundles arrived in.
+  void emit_type2plus_bundles() {
+    for (int dest = 0; dest < comm_->size(); ++dest) {
+      auto& pairs = forward_[static_cast<std::size_t>(dest)];
+      std::sort(pairs.begin(), pairs.end());
+      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+      for (std::size_t b = 0; b < pairs.size();) {
+        const VertexId u1 = pairs[b].first;
+        check_row_.clear();
+        for (; b < pairs.size() && pairs[b].first == u1; ++b) {
+          check_row_.push_back(pairs[b].second);
+        }
+        const Dist bound = config_.distance_pruning
+                               ? lists_.at(u1).furthest_distance()
+                               : kInfiniteDistance;
+        if (dest != rank()) {
+          comm_->telemetry().add(c_logical_type2plus_, check_row_.size());
+        }
+        comm_->async(dest, h_type2plus_, u1, bound, points_[u1],
+                     std::span<const VertexId>(check_row_));
+      }
+      pairs.clear();
+    }
   }
 
   /// Successful Update() count since the last call (the counter `c`).
@@ -603,26 +645,33 @@ class DnndEngine {
     }
   }
 
-  void emit_pair(VertexId u1, VertexId u2) {
+  /// Sends the check row (u1, check_row_).
+  void emit_check_row(VertexId u1) {
     if (config_.optimized_checks) {
       // §4.3.1 one-sided: only owner(u1) is contacted; it forwards.
-      comm_->async(partition_.owner(u1), h_type1_, u1, u2);
+      const int dest = partition_.owner(u1);
+      if (dest != rank()) {
+        comm_->telemetry().add(c_logical_type1_, check_row_.size());
+      }
+      comm_->async(dest, h_type1_, u1, std::span<const VertexId>(check_row_));
     } else {
       // Figure 1a: both endpoints get a check request and exchange
       // features in both directions.
-      comm_->async(partition_.owner(u1), h_type1_unopt_, u1, u2);
-      comm_->async(partition_.owner(u2), h_type1_unopt_, u2, u1);
+      for (const VertexId u2 : check_row_) {
+        comm_->async(partition_.owner(u1), h_type1_unopt_, u1, u2);
+        comm_->async(partition_.owner(u2), h_type1_unopt_, u2, u1);
+      }
     }
   }
 
+  /// One θ evaluation for the per-pair paths (initialization and the
+  /// Figure-1a baseline). A batch-capable metric goes through its batch
+  /// entry point with one row, so every caller uses the same kernel (same
+  /// dispatch, same reduction order).
   Dist eval(std::span<const T> a, std::span<const T> b) {
     ++distance_evals_;
     comm_->telemetry().add(c_distance_evals_);
     if constexpr (BatchDistance<DistanceFn, T>) {
-      // Check requests arrive one candidate per message, so the engine
-      // evaluates batches of one — but going through the batch entry
-      // point keeps it on the same kernel (same dispatch, same reduction
-      // order) as the bulk callers.
       Dist d;
       const T* row = b.data();
       distance_.batch(a.data(), &row, 1, a.size(), &d);
@@ -630,6 +679,52 @@ class DnndEngine {
     } else {
       return distance_(a, b);
     }
+  }
+
+  /// Owner(u2)'s half of a Type-2+ bundle: u1's feature is in
+  /// scratch_feature_ and the bundle's u2s in scratch_ids_.
+  void check_bundle(VertexId u1, Dist bound) {
+    // §4.3.2: drop each u2 whose list already holds u1.
+    bundle_ids_.clear();
+    bundle_lists_.clear();
+    for (const VertexId u2 : scratch_ids_) {
+      NeighborList& l2 = lists_.at(u2);
+      if (config_.redundant_check_reduction && l2.contains(u1)) continue;
+      bundle_ids_.push_back(u2);
+      bundle_lists_.push_back(&l2);
+    }
+    const std::size_t n = bundle_ids_.size();
+    if (n == 0) return;
+    bundle_dists_.resize(n);
+    distance_evals_ += n;
+    comm_->telemetry().add(c_distance_evals_, n);
+    if constexpr (BatchDistance<DistanceFn, T>) {
+      bundle_rows_.clear();
+      for (const VertexId u2 : bundle_ids_) {
+        bundle_rows_.push_back(points_[u2].data());
+      }
+      distance_.batch(scratch_feature_.data(), bundle_rows_.data(), n,
+                      scratch_feature_.size(), bundle_dists_.data());
+    } else {
+      const std::span<const T> feature(scratch_feature_);
+      for (std::size_t i = 0; i < n; ++i) {
+        bundle_dists_[i] = distance_(points_[bundle_ids_[i]], feature);
+      }
+    }
+    replies_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      const Dist d = bundle_dists_[i];
+      updates_ += static_cast<std::uint64_t>(
+          bundle_lists_[i]->update(u1, d, /*is_new=*/true));
+      // §4.3.3: reply only with the pairs u1 could still accept.
+      if (d < bound) replies_.push_back({bundle_ids_[i], d});
+    }
+    if (replies_.empty()) return;
+    const int dest = partition_.owner(u1);
+    if (dest != rank()) {
+      comm_->telemetry().add(c_logical_type3_, replies_.size());
+    }
+    comm_->async(dest, h_type3_, u1, std::span<const CheckReply>(replies_));
   }
 
   void register_handlers() {
@@ -665,49 +760,41 @@ class DnndEngine {
     h_type1_ = comm_->register_handler(
         "type1", [this](int, serial::InArchive& ar) {
           const auto u1 = ar.read<VertexId>();
-          const auto u2 = ar.read<VertexId>();
-          auto& l1 = lists_.at(u1);
-          // §4.3.2: if u2 is already a neighbor the whole exchange is
-          // redundant — its distance is known on this side and the other
-          // side either has it or rejected it before.
-          if (config_.redundant_check_reduction && l1.contains(u2)) return;
-          const Dist bound =
-              config_.distance_pruning ? l1.furthest_distance()
-                                       : kInfiniteDistance;
-          const auto feature = points_[u1];
-          comm_->async(partition_.owner(u2), h_type2plus_, u2,
-                       u1, bound,
-                       std::vector<T>(feature.begin(), feature.end()));
+          ar.read_into(scratch_ids_);
+          const auto& l1 = lists_.at(u1);
+          for (const VertexId u2 : scratch_ids_) {
+            // §4.3.2: if u2 is already a neighbor the check is redundant
+            // — its distance is known on this side and the other side
+            // either has it or rejected it before.
+            if (config_.redundant_check_reduction && l1.contains(u2)) continue;
+            forward_[static_cast<std::size_t>(partition_.owner(u2))]
+                .emplace_back(u1, u2);
+          }
         });
     h_type2plus_ = comm_->register_handler(
         "type2plus", [this](int, serial::InArchive& ar) {
-          const auto u2 = ar.read<VertexId>();
           const auto u1 = ar.read<VertexId>();
           const auto bound = ar.read<Dist>();
           ar.read_into(scratch_feature_);
-          auto& l2 = lists_.at(u2);
-          if (config_.redundant_check_reduction && l2.contains(u1)) return;
-          const Dist d = eval(points_[u2], scratch_feature_);
-          updates_ += static_cast<std::uint64_t>(l2.update(u1, d, true));
-          // §4.3.3: reply only when u1 could still accept the candidate.
-          if (d < bound) {
-            comm_->async(partition_.owner(u1), h_type3_, u1, u2, d);
-          }
+          ar.read_into(scratch_ids_);
+          check_bundle(u1, bound);
         });
     h_type3_ = comm_->register_handler(
         "type3", [this](int, serial::InArchive& ar) {
           const auto u1 = ar.read<VertexId>();
-          const auto u2 = ar.read<VertexId>();
-          const auto d = ar.read<Dist>();
-          updates_ += static_cast<std::uint64_t>(lists_.at(u1).update(u2, d, true));
+          ar.read_into(replies_);
+          auto& l1 = lists_.at(u1);
+          for (const CheckReply& r : replies_) {
+            updates_ += static_cast<std::uint64_t>(
+                l1.update(r.id, r.distance, /*is_new=*/true));
+          }
         });
     h_type1_unopt_ = comm_->register_handler(
         "type1_unopt", [this](int, serial::InArchive& ar) {
           const auto u1 = ar.read<VertexId>();
           const auto u2 = ar.read<VertexId>();
-          const auto feature = points_[u1];
           comm_->async(partition_.owner(u2), h_type2_unopt_, u2, u1,
-                       std::vector<T>(feature.begin(), feature.end()));
+                       points_[u1]);
         });
     h_type2_unopt_ = comm_->register_handler(
         "type2_unopt", [this](int, serial::InArchive& ar) {
@@ -716,12 +803,6 @@ class DnndEngine {
           ar.read_into(scratch_feature_);
           const Dist d = eval(points_[u2], scratch_feature_);
           updates_ += static_cast<std::uint64_t>(lists_.at(u2).update(u1, d, true));
-        });
-    h_ingest_ = comm_->register_handler(
-        "ingest", [this](int, serial::InArchive& ar) {
-          const auto id = ar.read<VertexId>();
-          ar.read_into(scratch_feature_);
-          points_.add(id, scratch_feature_);
         });
     h_init_sample_ = comm_->register_handler(
         "init_sample", [this](int, serial::InArchive& ar) {
@@ -780,7 +861,25 @@ class DnndEngine {
   std::size_t init_emitted_ = 0;
   std::size_t check_vertex_ = 0;
   std::size_t check_i_ = 0;
-  std::size_t check_j_ = 1;
+
+  // Neighbor-check state. forward_[r] holds the (u1, u2) pairs this rank
+  // kept in the Type-1 round for owner(u2) == r; the Type-2+ round empties
+  // it, so it is empty at every iteration barrier.
+  std::vector<std::vector<std::pair<VertexId, VertexId>>> forward_;
+  std::vector<VertexId> check_row_;
+  /// One (u2, d) pair of a Type-3 reply; 8 bytes on the wire, no padding.
+  struct CheckReply {
+    VertexId id;
+    Dist distance;
+  };
+  static_assert(sizeof(CheckReply) == sizeof(VertexId) + sizeof(Dist));
+  /// The Type-3 pairs check_bundle builds, or the type3 handler decodes.
+  std::vector<CheckReply> replies_;
+  // check_bundle's reused buffers.
+  std::vector<VertexId> bundle_ids_;
+  std::vector<NeighborList*> bundle_lists_;
+  std::vector<const T*> bundle_rows_;
+  std::vector<Dist> bundle_dists_;
 
   // Optimization state.
   std::unordered_map<VertexId, std::vector<Neighbor>> extra_edges_;
@@ -788,10 +887,12 @@ class DnndEngine {
 
   std::uint64_t updates_ = 0;
   std::uint64_t distance_evals_ = 0;
-  /// Deserialization scratch: features arrive at arbitrary byte offsets
-  /// inside packed datagrams, so multi-byte element types must be copied
-  /// out before use (alignment); the buffer is reused across messages.
+  /// Deserialization scratch: features and id lists arrive at arbitrary
+  /// byte offsets inside packed datagrams, so multi-byte element types
+  /// must be copied out before use (alignment); the buffers are reused
+  /// across messages.
   std::vector<T> scratch_feature_;
+  std::vector<VertexId> scratch_ids_;
 
   // Dynamic-update state.
   std::vector<VertexId> pending_init_;
@@ -803,10 +904,12 @@ class DnndEngine {
   comm::HandlerId h_type1_ = 0, h_type2plus_ = 0, h_type3_ = 0;
   comm::HandlerId h_type1_unopt_ = 0, h_type2_unopt_ = 0, h_rev_edge_ = 0;
   comm::HandlerId h_init_sample_ = 0;
-  comm::HandlerId h_ingest_ = 0;
 
   telemetry::MetricId c_distance_evals_ = 0;
   telemetry::MetricId c_updates_ = 0;
+  telemetry::MetricId c_logical_type1_ = 0;
+  telemetry::MetricId c_logical_type2plus_ = 0;
+  telemetry::MetricId c_logical_type3_ = 0;
   telemetry::MetricId c_tasks_ = 0;
   telemetry::MemTag t_features_;
   telemetry::MemTag t_graph_;

@@ -3,7 +3,8 @@
 // Owns one DnndEngine per simulated rank and drives the build loop:
 //
 //   distribute → init (batched) → [ sample/reverse → merge →
-//   neighbor checks (batched) → convergence test ]* → optimize → gather
+//   neighbor checks (batched; a Type-1 and a Type-2+ round per chunk) →
+//   convergence test ]* → optimize → gather
 //
 // Barriers between phases are Environment::execute_phase quiescence
 // points; the §4.4 batching shows up as the inner chunk loops that
@@ -121,36 +122,6 @@ class DnndRunner {
     if (max_id_bound_ != n) {
       throw std::invalid_argument(
           "DnndRunner::distribute: initial dataset ids must be dense 0..N-1");
-    }
-  }
-
-  /// Like distribute(), but through the transport: rank r "reads" the
-  /// r-th contiguous slice of the dataset (standing in for a parallel
-  /// file read) and routes each point to its owner with ingest messages —
-  /// the all-to-all exchange pattern of real distributed loading. The
-  /// resulting placement is identical to distribute().
-  void distribute_via_exchange(const FeatureStore<T>& dataset) {
-    const std::size_t n = dataset.size();
-    const auto ranks = static_cast<std::size_t>(env_->num_ranks());
-    env_->execute_phase([&](int r) {
-      const std::size_t begin = n * static_cast<std::size_t>(r) / ranks;
-      const std::size_t end = n * static_cast<std::size_t>(r + 1) / ranks;
-      for (std::size_t i = begin; i < end; ++i) {
-        engines_[at(r)]->ingest(dataset.id_at(i), dataset.row(i));
-      }
-    });
-    for (auto& engine : engines_) engine->set_global_count(n);
-    global_n_ = n;
-    env_->telemetry(0).set(g_global_points_,
-                           static_cast<std::int64_t>(global_n_));
-    max_id_bound_ = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      max_id_bound_ =
-          std::max<std::size_t>(max_id_bound_, dataset.id_at(i) + 1);
-    }
-    if (max_id_bound_ != n) {
-      throw std::invalid_argument(
-          "DnndRunner::distribute_via_exchange: ids must be dense 0..N-1");
     }
   }
 
@@ -364,9 +335,19 @@ class DnndRunner {
       timed_phase(stats, "merge", [&](int r) {
         engines_[at(r)]->merge_reverse_and_prepare_checks();
       });
-      run_batched(stats, "checks", [&](int r) {
-        return engines_[at(r)]->emit_check_chunk(quota);
-      });
+      // §4.3 neighbor checks: two supersteps per §4.4 chunk, both under
+      // "checks". The Type-1 round only filters and buffers, so no list
+      // changes while it runs; the Type-2+ round sends the bundles and
+      // their Type-3 replies.
+      bool checks_done = false;
+      while (!checks_done) {
+        checks_done = chunk_round(stats, "checks", [&](int r) {
+          return engines_[at(r)]->emit_check_chunk(quota);
+        });
+        timed_phase(stats, "checks", [&](int r) {
+          engines_[at(r)]->emit_type2plus_bundles();
+        });
+      }
 
       // Allreduce of the convergence counter c (Alg. 1 line 23) through
       // the transport, as an MPI implementation would.
@@ -487,18 +468,24 @@ class DnndRunner {
     ++cost.barriers;
   }
 
-  /// §4.4: re-enters `chunk` (which returns per-rank done flags) with a
-  /// quiescence barrier after every round, until all ranks are done.
+  /// One §4.4 round: runs `chunk` (which returns a per-rank done flag) as
+  /// one superstep; returns true when every rank is done.
+  template <typename Fn>
+  bool chunk_round(DnndBuildStats& stats, const char* label, Fn&& chunk) {
+    std::vector<std::uint8_t> done(static_cast<std::size_t>(env_->num_ranks()));
+    timed_phase(stats, label, [&](int r) {
+      done[at(r)] = chunk(r) ? std::uint8_t{1} : std::uint8_t{0};
+    });
+    bool all = true;
+    for (const auto flag : done) all = all && (flag != 0);
+    return all;
+  }
+
+  /// §4.4: re-enters `chunk` with a quiescence barrier after every round,
+  /// until all ranks are done.
   template <typename Fn>
   void run_batched(DnndBuildStats& stats, const char* label, Fn&& chunk) {
-    while (true) {
-      std::vector<std::uint8_t> done(static_cast<std::size_t>(env_->num_ranks()));
-      timed_phase(stats, label, [&](int r) {
-        done[at(r)] = chunk(r) ? std::uint8_t{1} : std::uint8_t{0};
-      });
-      bool all = true;
-      for (const auto flag : done) all = all && (flag != 0);
-      if (all) break;
+    while (!chunk_round(stats, label, chunk)) {
     }
   }
 

@@ -169,7 +169,10 @@ class InArchive {
 //
 // The communicator serializes handler arguments with pack(); handlers get
 // them back with unpack<Args...>(). Supported argument types: WireTrivial
-// values, std::vector<WireTrivial>, and std::string.
+// values, std::vector<WireTrivial>, and std::string. pack() also takes
+// std::span<const WireTrivial>, encode-only: it writes the same bytes as
+// the std::vector it views, so a sender ships a borrowed row without
+// copying it and the receiver decodes a vector (read_vector / read_into).
 
 namespace detail {
 
@@ -189,6 +192,13 @@ struct Codec<std::vector<T>> {
   }
   static std::vector<T> decode(InArchive& ar) {
     return ar.template read_vector<T>();
+  }
+};
+
+template <WireTrivial T>
+struct Codec<std::span<const T>> {
+  static void encode(OutArchive& ar, std::span<const T> v) {
+    ar.write_span(v);
   }
 };
 

@@ -3,6 +3,8 @@
 // losslessness of pruning), §4.4 batching, and §4.5 graph optimization.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baselines/brute_force.hpp"
 #include "core/distance.hpp"
 #include "comm/environment.hpp"
@@ -107,6 +109,13 @@ TEST(Dnnd, DeterministicUnderSequentialDriver) {
 
 // -- §4.3 communication saving -------------------------------------------------
 
+/// Paper-level (logical) check messages of one build: the candidate pairs
+/// carried by remote bundles, one per-pair message each.
+std::uint64_t logical_msgs(const Environment& env, const char* type) {
+  return env.aggregate_metrics().counter_value(
+      std::string("engine.logical_msgs.") + type);
+}
+
 TEST(Dnnd, OptimizedAndUnoptimizedReachSimilarRecall) {
   const auto points = clustered(400);
   const auto exact = baselines::brute_force_knn_graph(points, L2Fn{}, 8);
@@ -158,6 +167,9 @@ TEST(Dnnd, DistancePruningIsLossless) {
   const auto points = clustered(300);
   const auto exact = baselines::brute_force_knn_graph(points, L2Fn{}, 8);
   std::uint64_t type3_with = 0, type3_without = 0;
+  // A Type-3 bundle replies once per (u1, rank), so the pairs it carries
+  // must shrink too.
+  std::uint64_t logical_with = 0, logical_without = 0;
   for (const bool pruning : {true, false}) {
     Environment env(Config{.num_ranks = 4});
     auto cfg = base_config();
@@ -168,12 +180,16 @@ TEST(Dnnd, DistancePruningIsLossless) {
     EXPECT_GT(core::graph_recall(runner.gather(), exact, 8), 0.9);
     const auto t3 = env.aggregate_stats().by_label("type3").total_messages();
     (pruning ? type3_with : type3_without) = t3;
+    (pruning ? logical_with : logical_without) = logical_msgs(env, "type3");
   }
   EXPECT_LT(type3_with, type3_without);
+  EXPECT_GT(logical_with, 0u);
+  EXPECT_LT(logical_with, logical_without);
 }
 
 TEST(Dnnd, RedundantCheckReductionCutsType2Messages) {
   const auto points = clustered(300);
+  std::uint64_t logical_with = 0, logical_without = 0;
   auto type2_count = [&](bool reduction) {
     Environment env(Config{.num_ranks = 4});
     auto cfg = base_config();
@@ -181,9 +197,41 @@ TEST(Dnnd, RedundantCheckReductionCutsType2Messages) {
     DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
     runner.distribute(points);
     runner.build();
+    (reduction ? logical_with : logical_without) =
+        logical_msgs(env, "type2plus");
     return env.aggregate_stats().by_label("type2plus").total_messages();
   };
   EXPECT_LT(type2_count(true), type2_count(false));
+  EXPECT_GT(logical_with, 0u);
+  EXPECT_LT(logical_with, logical_without);
+}
+
+TEST(Dnnd, Type2PlusBundlesShipEachFeatureOncePerRank) {
+  // A per-pair Type-2+ message carries u1's feature once per evaluated
+  // pair, so its bytes exceed evaluations x feature bytes. A bundle
+  // carries the feature once per (u1, rank) for every u2 that rank owns.
+  // Keep the dimension paper-like (DEEP is 96-d): at low dimension the
+  // bundle's u2 ids weigh more against the feature.
+  data::MixtureSpec spec;
+  spec.dim = 96;
+  spec.num_clusters = 10;
+  spec.seed = 21;
+  const auto points = data::GaussianMixture(spec).sample(400, 1);
+  Environment env(Config{.num_ranks = 4});
+  // The default batch size: one chunk per iteration, as in a real build.
+  DnndConfig cfg;
+  cfg.k = 8;
+  DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
+  runner.distribute(points);
+  runner.build();
+  const double bytes = static_cast<double>(
+      env.aggregate_stats().by_label("type2plus").total_bytes());
+  const double evals = static_cast<double>(
+      env.aggregate_metrics().counter_value("engine.distance_evals"));
+  const double feature_bytes = 96.0 * sizeof(float);
+  ASSERT_GT(evals, 0.0);
+  EXPECT_LT(bytes, 0.25 * evals * feature_bytes)
+      << "type2plus bytes per evaluation: " << bytes / evals;
 }
 
 // -- §4.4 batching ----------------------------------------------------------------

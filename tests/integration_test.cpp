@@ -204,38 +204,6 @@ TEST(Integration, Uint8PipelineMatchesBigAnnSetup) {
   EXPECT_GT(core::mean_query_recall(computed, truth, 10), 0.8);
 }
 
-TEST(Integration, DistributeViaExchangeMatchesDirectDistribute) {
-  const auto base = data::GaussianMixture({.dim = 8, .seed = 13}).sample(300, 1);
-  core::DnndConfig cfg;
-  cfg.k = 8;
-  auto build_with = [&](bool exchange) {
-    comm::Environment env(comm::Config{.num_ranks = 4});
-    core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
-    if (exchange) {
-      runner.distribute_via_exchange(base);
-    } else {
-      runner.distribute(base);
-    }
-    runner.build();
-    return runner.gather();
-  };
-  // Identical placement + identical seeds => identical graphs under the
-  // sequential driver.
-  EXPECT_EQ(build_with(true), build_with(false));
-}
-
-TEST(Integration, ExchangeIngestionGoesThroughTheTransport) {
-  const auto base = data::GaussianMixture({.dim = 8, .seed = 14}).sample(200, 1);
-  comm::Environment env(comm::Config{.num_ranks = 4});
-  core::DnndConfig cfg;
-  cfg.k = 6;
-  core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
-  runner.distribute_via_exchange(base);
-  const auto ingest = env.aggregate_stats().by_label("ingest");
-  EXPECT_EQ(ingest.total_messages(), 200u);
-  EXPECT_GT(ingest.remote_messages, 100u);  // most points change ranks
-}
-
 TEST(Integration, IndexMetadataRoundTripAndValidation) {
   const std::string store_path = temp_path("dnnd_meta_roundtrip.dat");
   std::remove(store_path.c_str());

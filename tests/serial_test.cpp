@@ -2,8 +2,10 @@
 // failure modes (truncation, overflow).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -145,6 +147,32 @@ TEST(Archive, PackUnpackMixedArguments) {
   EXPECT_EQ(v, (std::vector<float>{1.5f, 2.5f}));
   EXPECT_EQ(b, 9);
   EXPECT_TRUE(in.empty());
+}
+
+TEST(Archive, PackedSpanMatchesPackedVector) {
+  // A span packs to the bytes of the vector it views, so a sender can
+  // ship a borrowed row and the receiver decodes a vector.
+  const std::vector<float> v = {1.5f, -2.5f, 3.25f, 0.0f};
+  OutArchive from_vector;
+  OutArchive from_span;
+  dnnd::serial::pack(from_vector, std::uint32_t{7}, v);
+  dnnd::serial::pack(from_span, std::uint32_t{7}, std::span<const float>(v));
+  ASSERT_EQ(from_span.size(), from_vector.size());
+  EXPECT_TRUE(std::equal(from_span.bytes().begin(), from_span.bytes().end(),
+                         from_vector.bytes().begin()));
+
+  InArchive in(from_span.bytes());
+  EXPECT_EQ(in.read<std::uint32_t>(), 7u);
+  std::vector<float> scratch = {9.0f};
+  in.read_into(scratch);
+  EXPECT_EQ(scratch, v);
+  EXPECT_TRUE(in.empty());
+
+  OutArchive empty;
+  dnnd::serial::pack(empty, std::span<const float>());
+  InArchive empty_in(empty.bytes());
+  EXPECT_TRUE(empty_in.read_vector<float>().empty());
+  EXPECT_TRUE(empty_in.empty());
 }
 
 TEST(Archive, SequentialMessagesShareBuffer) {
