@@ -34,8 +34,8 @@ namespace dnnd::bench {
 
 // The dense metrics are the kernel functors themselves, so every bench
 // (and the tests that reuse these aliases) exercises the batched,
-// runtime-dispatched code path; Jaccard is sparse and stays on the
-// element loop.
+// runtime-dispatched kernels; Jaccard is sparse and has no batch kernel,
+// so the same evaluation loops call it once per row.
 using L2Fn = core::L2Kernel<float>;
 using L2U8Fn = core::L2Kernel<std::uint8_t>;
 using CosFn = core::CosineKernel<float>;

@@ -69,17 +69,8 @@ namespace {
 
 using namespace dnnd;
 
-struct L2F {
-  float operator()(std::span<const float> a, std::span<const float> b) const {
-    return core::l2(a, b);
-  }
-};
-struct L2U8 {
-  float operator()(std::span<const std::uint8_t> a,
-                   std::span<const std::uint8_t> b) const {
-    return core::l2(a, b);
-  }
-};
+using L2F = core::L2Kernel<float>;
+using L2U8 = core::L2Kernel<std::uint8_t>;
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&

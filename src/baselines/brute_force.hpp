@@ -6,9 +6,9 @@
 // generating synthetic query ground truth (the Big-ANN datasets ship
 // theirs; ours are computed).
 //
-// With a batch-capable distance functor the row loops go through the
-// one-query-vs-many kernels in fixed-size chunks; update order is
-// identical to the pairwise loops, so the graph is the same either way.
+// The row loops evaluate fixed 512-row chunks through
+// core::evaluate_rows (one batch-kernel call per chunk when the functor
+// has one, else one call per row) and apply updates in pairwise order.
 #pragma once
 
 #include <algorithm>
@@ -26,32 +26,23 @@ namespace dnnd::baselines {
 
 namespace detail {
 
-/// Evaluates `query` against rows [begin, end) of `points` and calls
-/// sink(row_index, distance) in row order, batching when the functor
-/// supports it.
+/// Evaluates `query` against rows [begin, end) of `points` in 512-row
+/// chunks and calls sink(row_index, distance) in row order.
 template <typename T, typename DistanceFn, typename Sink>
 void eval_rows(const core::FeatureStore<T>& points, std::span<const T> query,
                DistanceFn& distance, std::size_t begin, std::size_t end,
                Sink&& sink) {
-  if constexpr (core::BatchDistance<DistanceFn, T>) {
-    constexpr std::size_t kChunk = 512;
-    std::vector<const T*> rows;
-    std::vector<core::Dist> dists;
-    for (std::size_t base = begin; base < end; base += kChunk) {
-      const std::size_t count = std::min(kChunk, end - base);
-      rows.clear();
-      for (std::size_t j = 0; j < count; ++j) {
-        rows.push_back(points.row(base + j).data());
-      }
-      dists.resize(count);
-      distance.batch(query.data(), rows.data(), count, query.size(),
-                     dists.data());
-      for (std::size_t j = 0; j < count; ++j) sink(base + j, dists[j]);
-    }
-  } else {
-    for (std::size_t j = begin; j < end; ++j) {
-      sink(j, distance(query, points.row(j)));
-    }
+  constexpr std::size_t kChunk = 512;
+  std::vector<const T*> rows;
+  std::vector<core::Dist> dists;
+  for (std::size_t base = begin; base < end; base += kChunk) {
+    const std::size_t count = std::min(kChunk, end - base);
+    dists.resize(count);
+    core::evaluate_rows(
+        distance, query, count,
+        [&](std::size_t j) { return points.row(base + j); }, dists.data(),
+        rows);
+    for (std::size_t j = 0; j < count; ++j) sink(base + j, dists[j]);
   }
 }
 

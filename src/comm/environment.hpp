@@ -53,14 +53,12 @@ struct Config {
   /// Per-destination send-buffer threshold in bytes (YGM-style internal
   /// buffering). 0 = unbuffered.
   std::size_t send_buffer_bytes = 64 * 1024;
-  /// Base seed; engines derive per-rank streams from it.
-  std::uint64_t seed = 42;
   /// Fault schedule for the transport. The default (empty) plan installs
   /// nothing: the transport stays perfectly reliable and the communicators
   /// skip the retry/dedup protocol entirely.
-  mpi::FaultPlan fault_plan;
+  mpi::FaultPlan fault_plan{};
   /// Retry/dedup protocol knobs; only consulted when fault_plan is active.
-  RetryConfig retry;
+  RetryConfig retry{};
   /// Crash-detection timeout in ticks. 0 = auto: detection turns on (at
   /// kAutoFailureTimeoutTicks) iff the fault plan schedules crash-stop
   /// faults. Auto keeps crash-free plans bit-identical to PR 1 — heartbeat

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <vector>
 
 #include "core/types.hpp"
 
@@ -229,8 +230,10 @@ inline void k_batch_inner_product(const T* q, const T* const* rows,
 #undef DNND_KERNEL_DISPATCH
 
 // ---- drop-in DistanceFn functors with a batch entry point --------------
-// Hot callers detect the `batch` member via the BatchDistance concept and
-// gather candidate rows; anything else falls back to per-pair calls.
+// A functor may add a `batch` member: one query against many gathered
+// rows, with out[i] bit-identical to operator()(q, rows[i]).
+// evaluate_rows() is the one caller that asks whether it has one, so
+// every evaluation loop runs the same code for any functor.
 
 template <typename Fn, typename T>
 concept BatchDistance =
@@ -238,6 +241,23 @@ concept BatchDistance =
              std::size_t dim, Dist* out) {
       { f.batch(q, rows, n, dim, out) };
     };
+
+/// out[i] = fn(query, row_at(i)) for i in [0, count). A functor with a
+/// batch kernel gets one `batch` call over the gathered rows (`rows` is
+/// the caller's reused pointer buffer); any other functor is called once
+/// per row. out[i] holds the same bits either way.
+template <typename T, typename Fn, typename RowAt>
+void evaluate_rows(Fn& fn, std::type_identity_t<std::span<const T>> query,
+                   std::size_t count, RowAt&& row_at, Dist* out,
+                   std::vector<const T*>& rows) {
+  if constexpr (BatchDistance<Fn, T>) {
+    rows.clear();
+    for (std::size_t i = 0; i < count; ++i) rows.push_back(row_at(i).data());
+    fn.batch(query.data(), rows.data(), count, query.size(), out);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) out[i] = fn(query, row_at(i));
+  }
+}
 
 template <typename T>
 struct SquaredL2Kernel {

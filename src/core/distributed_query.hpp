@@ -601,41 +601,25 @@ class QueryEngineRank {
     return it == replica_rows_.end() ? nullptr : &it->second;
   }
 
-  /// One-query-vs-many evaluation against `store` (batched kernel when
-  /// the functor supports it; fixed kEvalGrain decomposition keeps the
-  /// reply bytes bit-identical across thread counts). The query vector is
-  /// already in scratch_.
-  void evaluate_ids(const FeatureStore<T>& store,
-                    const std::vector<VertexId>& ids,
-                    std::vector<std::pair<VertexId, Dist>>& pairs) {
-    pairs.reserve(ids.size());
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      if (!ids.empty()) {
-        std::vector<const T*> rows;
-        rows.reserve(ids.size());
-        for (const VertexId w : ids) {
-          rows.push_back(store[w].data());
-        }
-        std::vector<Dist> dists(ids.size());
-        pool_.for_blocks(
-            ids.size(), kEvalGrain,
-            [&](std::size_t, std::size_t begin, std::size_t end) {
-              distance_.batch(scratch_.data(), rows.data() + begin,
-                              end - begin, scratch_.size(),
-                              dists.data() + begin);
-            },
-            "query_eval");
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-          pairs.emplace_back(ids[i], dists[i]);
-        }
-      }
-    } else {
-      for (const VertexId w : ids) {
-        pairs.emplace_back(w,
-                           distance_(std::span<const T>(scratch_), store[w]));
-      }
-    }
+  /// One-query-vs-many evaluation of `ids` against `store`, one
+  /// evaluate_rows() call per kEvalGrain block (a fixed decomposition, so
+  /// the reply bytes are bit-identical across thread counts). The query
+  /// vector is already in scratch_.
+  std::vector<Dist> evaluate_ids(const FeatureStore<T>& store,
+                                 const std::vector<VertexId>& ids) {
+    std::vector<Dist> dists(ids.size());
+    pool_.for_blocks(
+        ids.size(), kEvalGrain,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          std::vector<const T*> rows;
+          evaluate_rows(
+              distance_, scratch_, end - begin,
+              [&](std::size_t i) { return store[ids[begin + i]]; },
+              dists.data() + begin, rows);
+        },
+        "query_eval");
     comm_->telemetry().add(c_distance_evals_, ids.size());
+    return dists;
   }
 
   /// Wire protocol. Every request carries (qid, req_id, coordinator,
@@ -695,20 +679,16 @@ class QueryEngineRank {
           const auto coordinator = ar.read<std::uint32_t>();
           const auto home = static_cast<int>(ar.read<std::uint32_t>());
           ar.read_into(scratch_);
-          const auto ids = ar.read_vector<VertexId>();
-          std::vector<std::pair<VertexId, Dist>> pairs;
+          auto ids = ar.read_vector<VertexId>();
+          std::vector<Dist> dists;
           const FeatureStore<T>* store = store_for_home(home);
-          if (store != nullptr) evaluate_ids(*store, ids, pairs);
-          std::vector<VertexId> out_ids;
-          std::vector<Dist> out_dists;
-          out_ids.reserve(pairs.size());
-          out_dists.reserve(pairs.size());
-          for (const auto& [w, d] : pairs) {
-            out_ids.push_back(w);
-            out_dists.push_back(d);
+          if (store != nullptr) {
+            dists = evaluate_ids(*store, ids);
+          } else {
+            ids.clear();  // a home this rank does not serve: empty reply
           }
           comm_->async(static_cast<int>(coordinator), h_eval_reply_, qid,
-                       req_id, out_ids, out_dists);
+                       req_id, ids, dists);
         });
     h_row_reply_ = comm_->register_handler(
         "q_row_reply", [this](int, serial::InArchive& ar) {

@@ -665,20 +665,11 @@ class DnndEngine {
   }
 
   /// One θ evaluation for the per-pair paths (initialization and the
-  /// Figure-1a baseline). A batch-capable metric goes through its batch
-  /// entry point with one row, so every caller uses the same kernel (same
-  /// dispatch, same reduction order).
+  /// Figure-1a baseline).
   Dist eval(std::span<const T> a, std::span<const T> b) {
     ++distance_evals_;
     comm_->telemetry().add(c_distance_evals_);
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      Dist d;
-      const T* row = b.data();
-      distance_.batch(a.data(), &row, 1, a.size(), &d);
-      return d;
-    } else {
-      return distance_(a, b);
-    }
+    return distance_(a, b);
   }
 
   /// Owner(u2)'s half of a Type-2+ bundle: u1's feature is in
@@ -698,19 +689,10 @@ class DnndEngine {
     bundle_dists_.resize(n);
     distance_evals_ += n;
     comm_->telemetry().add(c_distance_evals_, n);
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      bundle_rows_.clear();
-      for (const VertexId u2 : bundle_ids_) {
-        bundle_rows_.push_back(points_[u2].data());
-      }
-      distance_.batch(scratch_feature_.data(), bundle_rows_.data(), n,
-                      scratch_feature_.size(), bundle_dists_.data());
-    } else {
-      const std::span<const T> feature(scratch_feature_);
-      for (std::size_t i = 0; i < n; ++i) {
-        bundle_dists_[i] = distance_(points_[bundle_ids_[i]], feature);
-      }
-    }
+    evaluate_rows(
+        distance_, scratch_feature_, n,
+        [&](std::size_t i) { return points_[bundle_ids_[i]]; },
+        bundle_dists_.data(), bundle_rows_);
     replies_.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const Dist d = bundle_dists_[i];

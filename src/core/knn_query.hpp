@@ -79,13 +79,26 @@ class GraphSearcher {
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> frontier;
     std::vector<bool> visited(n, false);
 
+    std::vector<VertexId> batch;
+    std::vector<const T*> rows;
+    std::vector<Dist> dists;
+    const auto evaluate_batch = [&] {
+      dists.resize(batch.size());
+      result.distance_evals += batch.size();
+      evaluate_rows(
+          distance_, query, batch.size(),
+          [&](std::size_t i) { return (*points_)[batch[i]]; }, dists.data(),
+          rows);
+    };
+
     const std::size_t entries = std::min(
         params.num_entry_points > 0 ? params.num_entry_points
                                     : params.num_neighbors,
         n);
     // Random entries are drawn from the *point store* rather than the id
     // range: after dynamic deletions vertex ids are no longer dense, and
-    // only stored points can be evaluated.
+    // only stored points can be evaluated. The draws depend only on
+    // `visited`, so the entries are gathered first and evaluated together.
     const std::size_t live = points_->size();
     std::size_t attempts = 0;
     while (result.visited < entries && attempts < 4 * entries + 16) {
@@ -94,75 +107,42 @@ class GraphSearcher {
       if (v >= n || visited[v]) continue;
       visited[v] = true;
       ++result.visited;
-      const Dist d = eval(result, query, v);
-      best.update(v, d, false);
-      frontier.emplace(d, v);
+      batch.push_back(v);
+    }
+    evaluate_batch();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      best.update(batch[i], dists[i], false);
+      frontier.emplace(dists[i], batch[i]);
     }
 
+    // Expansion: gather the popped vertex's unvisited neighbors, evaluate
+    // them together, then admit in edge order, re-reading the admission
+    // bound per candidate.
     const double slack = 1.0 + params.epsilon;
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      // Batch-capable functor: gather the popped vertex's unvisited
-      // neighbors, evaluate them through the one-query-vs-many kernel,
-      // then admit in edge order. The admission bound is re-read per
-      // candidate exactly as in the scalar loop below, so both paths
-      // expand the same vertices in the same order.
-      std::vector<VertexId> batch;
-      std::vector<const T*> rows;
-      std::vector<Dist> dists;
-      while (!frontier.empty()) {
-        const auto [d, v] = frontier.top();
-        frontier.pop();
-        // d_max is +inf until `best` fills, so early expansion is unbounded.
-        const Dist d_max = best.furthest_distance();
-        if (static_cast<double>(d) >
-            slack * static_cast<double>(d_max)) {
-          break;
-        }
-        batch.clear();
-        rows.clear();
-        for (const Neighbor& edge : graph_->neighbors(v)) {
-          const VertexId w = edge.id;
-          if (visited[w]) continue;
-          visited[w] = true;
-          ++result.visited;
-          batch.push_back(w);
-          rows.push_back((*points_)[w].data());
-        }
-        if (batch.empty()) continue;
-        dists.resize(batch.size());
-        result.distance_evals += batch.size();
-        distance_.batch(query.data(), rows.data(), batch.size(),
-                        query.size(), dists.data());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          const Dist dw = dists[i];
-          const Dist bound = best.furthest_distance();
-          if (static_cast<double>(dw) < slack * static_cast<double>(bound)) {
-            frontier.emplace(dw, batch[i]);
-            best.update(batch[i], dw, false);
-          }
-        }
+    while (!frontier.empty()) {
+      const auto [d, v] = frontier.top();
+      frontier.pop();
+      // d_max is +inf until `best` fills, so early expansion is unbounded.
+      const Dist d_max = best.furthest_distance();
+      if (static_cast<double>(d) > slack * static_cast<double>(d_max)) {
+        break;
       }
-    } else {
-      while (!frontier.empty()) {
-        const auto [d, v] = frontier.top();
-        frontier.pop();
-        // d_max is +inf until `best` fills, so early expansion is unbounded.
-        const Dist d_max = best.furthest_distance();
-        if (static_cast<double>(d) >
-            slack * static_cast<double>(d_max)) {
-          break;
-        }
-        for (const Neighbor& edge : graph_->neighbors(v)) {
-          const VertexId w = edge.id;
-          if (visited[w]) continue;
-          visited[w] = true;
-          ++result.visited;
-          const Dist dw = eval(result, query, w);
-          const Dist bound = best.furthest_distance();
-          if (static_cast<double>(dw) < slack * static_cast<double>(bound)) {
-            frontier.emplace(dw, w);
-            best.update(w, dw, false);
-          }
+      batch.clear();
+      for (const Neighbor& edge : graph_->neighbors(v)) {
+        const VertexId w = edge.id;
+        if (visited[w]) continue;
+        visited[w] = true;
+        ++result.visited;
+        batch.push_back(w);
+      }
+      if (batch.empty()) continue;
+      evaluate_batch();
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const Dist dw = dists[i];
+        const Dist bound = best.furthest_distance();
+        if (static_cast<double>(dw) < slack * static_cast<double>(bound)) {
+          frontier.emplace(dw, batch[i]);
+          best.update(batch[i], dw, false);
         }
       }
     }
@@ -203,11 +183,6 @@ class GraphSearcher {
   }
 
  private:
-  Dist eval(SearchResult& result, std::span<const T> query, VertexId v) const {
-    ++result.distance_evals;
-    return distance_(query, (*points_)[v]);
-  }
-
   const KnnGraph* graph_;
   const Store* points_;
   DistanceFn distance_;

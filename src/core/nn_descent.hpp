@@ -9,22 +9,23 @@
 // when the number of successful neighbor-list updates in an iteration
 // drops below δ·K·N.
 //
-// Intra-rank threading (config.threads > 1) splits the batch-capable
-// path's vertex-block stages across the pool: the batched evaluation in
-// initialize(), the read-only split of every list, and both passes of the
-// reversed-matrix scatter. Each stage runs ceil(n / kVertexGrain) tasks
-// that write private, index-addressed slots, merged in fixed task order;
-// everything that owns the rng stream stays sequential. The decomposition
-// depends on the work size only — never the thread count — so the graph,
-// the convergence counter c, the eval/update counters AND stats.tasks are
-// bit-identical for any thread count (threads == 1 runs the same
-// decomposition inline, with no threads spawned). The neighbor checks run
-// on the calling thread: each center's updates are an ordered sequence,
-// and splitting one center's handful of evaluations across the pool costs
-// more than the evaluations themselves. A non-batch DistanceFn keeps the
-// original truly-serial path: its per-pair live filter makes the eval
-// count schedule-dependent, so it cannot be staged without changing
-// counters — threading requires a batch functor.
+// Every DistanceFn runs the same staged code: each evaluation step goes
+// through core::evaluate_rows, which makes one batch-kernel call when the
+// functor has one and one call per row otherwise, with the same values.
+//
+// Intra-rank threading (config.threads > 1) splits the vertex-block
+// stages across the pool: the evaluation in initialize(), the read-only
+// split of every list, and both passes of the reversed-matrix scatter.
+// Each stage runs ceil(n / kVertexGrain) tasks that write private,
+// index-addressed slots, merged in fixed task order; everything that owns
+// the rng stream stays sequential. The decomposition depends on the work
+// size only — never the thread count — so the graph, the convergence
+// counter c, the eval/update counters AND stats.tasks are bit-identical
+// for any thread count (threads == 1 runs the same decomposition inline,
+// with no threads spawned). The neighbor checks run on the calling
+// thread: each center's updates are an ordered sequence, and splitting
+// one center's handful of evaluations across the pool costs more than
+// the evaluations themselves.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +57,8 @@ struct NnDescentStats {
   std::uint64_t distance_evals = 0;
   std::uint64_t updates = 0;
   std::vector<std::uint64_t> updates_per_iteration;
-  /// Pool tasks dispatched (batch path): one per vertex block per staged
-  /// pass, i.e. ceil(n / 256) * (1 + 3 * iterations), for any thread
-  /// count. 0 on the non-batch path.
+  /// Pool tasks dispatched: one per vertex block per staged pass, i.e.
+  /// ceil(n / 256) * (1 + 3 * iterations), for any thread count.
   std::uint64_t tasks = 0;
 };
 
@@ -100,11 +100,6 @@ class NnDescent {
   /// Grain of every pool stage: vertices per task.
   static constexpr std::size_t kVertexGrain = 256;
 
-  Dist eval(VertexId a, VertexId b) {
-    ++stats_.distance_evals;
-    return distance_((*points_)[a], (*points_)[b]);
-  }
-
   /// Dispatches one vertex-block stage through the pool and accounts its
   /// tasks (count is thread-count-independent).
   template <typename Fn>
@@ -116,58 +111,41 @@ class NnDescent {
   /// Lines 2–5: K random neighbors per vertex.
   void initialize(util::Xoshiro256& rng) {
     const std::size_t n = points_->size();
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      // Stage 1 (sequential: owns the rng stream): draw every vertex's
-      // partner ids exactly as the interleaved serial loop would. The
-      // draw schedule is independent of the distances because warm-up
-      // updates always insert (the list is never full here), so
-      // acceptance depends only on previously accepted draws.
-      std::vector<std::vector<VertexId>> drawn(n);
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        const auto v = static_cast<VertexId>(vi);
-        auto& mine = drawn[vi];
-        while (mine.size() < config_.k && mine.size() + 1 < n) {
-          const auto u = static_cast<VertexId>(rng.uniform_below(n));
-          if (u == v || std::find(mine.begin(), mine.end(), u) != mine.end()) {
-            continue;
-          }
-          mine.push_back(u);
+    // Stage 1 (sequential: owns the rng stream): draw every vertex's
+    // distinct partner ids. No draw depends on a distance: warm-up updates
+    // always insert (the list is never full here), so acceptance depends
+    // only on previously accepted draws.
+    std::vector<std::vector<VertexId>> drawn(n);
+    for (std::size_t vi = 0; vi < n; ++vi) {
+      const auto v = static_cast<VertexId>(vi);
+      auto& mine = drawn[vi];
+      while (mine.size() < config_.k && mine.size() + 1 < n) {
+        const auto u = static_cast<VertexId>(rng.uniform_below(n));
+        if (u == v || std::find(mine.begin(), mine.end(), u) != mine.end()) {
+          continue;
         }
-        stats_.distance_evals += mine.size();
+        mine.push_back(u);
       }
-      // Stage 2 (parallel, slot = the vertex's own list): batch-eval each
-      // vertex's partners and apply in draw order. Writes touch only
-      // lists_[vi] — private to the task that owns block vi.
-      run_blocks(n, [&](std::size_t, std::size_t begin, std::size_t end) {
-        std::vector<const T*> rows;
-        std::vector<Dist> dists;
-        for (std::size_t vi = begin; vi < end; ++vi) {
-          const auto& mine = drawn[vi];
-          if (mine.empty()) continue;
-          rows.clear();
-          for (const VertexId u : mine) rows.push_back((*points_)[u].data());
-          dists.resize(mine.size());
-          const auto q = (*points_)[static_cast<VertexId>(vi)];
-          distance_.batch(q.data(), rows.data(), mine.size(), q.size(),
-                          dists.data());
-          for (std::size_t j = 0; j < mine.size(); ++j) {
-            lists_[vi].update(mine[j], dists[j], true);
-          }
-        }
-      });
-    } else {
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        const auto v = static_cast<VertexId>(vi);
-        auto& list = lists_[vi];
-        // Rejection-sample distinct ids != v; K << N so collisions are
-        // rare.
-        while (list.size() < config_.k && list.size() + 1 < n) {
-          const auto u = static_cast<VertexId>(rng.uniform_below(n));
-          if (u == v || list.contains(u)) continue;
-          list.update(u, eval(v, u), true);
-        }
-      }
+      stats_.distance_evals += mine.size();
     }
+    // Stage 2 (parallel, slot = the vertex's own list): evaluate each
+    // vertex's partners and apply in draw order. Writes touch only
+    // lists_[vi] — private to the task that owns block vi.
+    run_blocks(n, [&](std::size_t, std::size_t begin, std::size_t end) {
+      std::vector<const T*> rows;
+      std::vector<Dist> dists;
+      for (std::size_t vi = begin; vi < end; ++vi) {
+        const auto& mine = drawn[vi];
+        dists.resize(mine.size());
+        evaluate_rows(
+            distance_, (*points_)[static_cast<VertexId>(vi)], mine.size(),
+            [&](std::size_t j) { return (*points_)[mine[j]]; },
+            dists.data(), rows);
+        for (std::size_t j = 0; j < mine.size(); ++j) {
+          lists_[vi].update(mine[j], dists[j], true);
+        }
+      }
+    });
   }
 
   /// One round of lines 7–23. Returns the update counter c.
@@ -177,65 +155,36 @@ class NnDescent {
         config_.rho * static_cast<double>(config_.k));
 
     // Lines 8–10: split each list into old / sampled-new; flip flags.
+    // Stage 1 (parallel, slots old_ids[vi] / fresh[vi]): read-only split
+    // of every list in its deterministic heap order.
     std::vector<std::vector<VertexId>> old_ids(n), new_ids(n);
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      // Stage 1 (parallel, slots old_ids[vi] / fresh[vi]): read-only
-      // split of every list in its deterministic heap order.
-      std::vector<std::vector<std::size_t>> fresh(n);
-      run_blocks(n, [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t vi = begin; vi < end; ++vi) {
-          const auto entries = std::as_const(lists_[vi]).entries();
-          for (std::size_t e = 0; e < entries.size(); ++e) {
-            if (entries[e].is_new) {
-              fresh[vi].push_back(e);
-            } else {
-              old_ids[vi].push_back(entries[e].id);
-            }
-          }
-        }
-      });
-      // Stage 2 (sequential: owns the rng stream and the flag flips) —
-      // consumes the rng byte-identically to the fused serial loop.
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        auto entries = lists_[vi].entries();
-        util::shuffle(fresh[vi].begin(), fresh[vi].end(), rng);
-        const std::size_t take = std::min(sample_k, fresh[vi].size());
-        for (std::size_t s = 0; s < take; ++s) {
-          entries[fresh[vi][s]].is_new = false;  // line 10
-          new_ids[vi].push_back(entries[fresh[vi][s]].id);
-        }
-      }
-    } else {
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        auto entries = lists_[vi].entries();
-        std::vector<std::size_t> fresh;
+    std::vector<std::vector<std::size_t>> fresh(n);
+    run_blocks(n, [&](std::size_t, std::size_t begin, std::size_t end) {
+      for (std::size_t vi = begin; vi < end; ++vi) {
+        const auto entries = std::as_const(lists_[vi]).entries();
         for (std::size_t e = 0; e < entries.size(); ++e) {
           if (entries[e].is_new) {
-            fresh.push_back(e);
+            fresh[vi].push_back(e);
           } else {
             old_ids[vi].push_back(entries[e].id);
           }
         }
-        util::shuffle(fresh.begin(), fresh.end(), rng);
-        const std::size_t take = std::min(sample_k, fresh.size());
-        for (std::size_t s = 0; s < take; ++s) {
-          entries[fresh[s]].is_new = false;  // line 10
-          new_ids[vi].push_back(entries[fresh[s]].id);
-        }
+      }
+    });
+    // Stage 2 (sequential: owns the rng stream and the flag flips).
+    for (std::size_t vi = 0; vi < n; ++vi) {
+      auto entries = lists_[vi].entries();
+      util::shuffle(fresh[vi].begin(), fresh[vi].end(), rng);
+      const std::size_t take = std::min(sample_k, fresh[vi].size());
+      for (std::size_t s = 0; s < take; ++s) {
+        entries[fresh[vi][s]].is_new = false;  // line 10
+        new_ids[vi].push_back(entries[fresh[vi][s]].id);
       }
     }
 
     // Lines 11–12: reversed matrices.
     std::vector<std::vector<VertexId>> rev_old(n), rev_new(n);
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      build_reversed(n, old_ids, new_ids, rev_old, rev_new);
-    } else {
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        const auto v = static_cast<VertexId>(vi);
-        for (const VertexId u : old_ids[vi]) rev_old[u].push_back(v);
-        for (const VertexId u : new_ids[vi]) rev_new[u].push_back(v);
-      }
-    }
+    build_reversed(n, old_ids, new_ids, rev_old, rev_new);
 
     // Lines 14–16: merge a ρK-sample of the reversed lists (sequential:
     // owns the rng stream).
@@ -244,60 +193,44 @@ class NnDescent {
       merge_sample(new_ids[vi], rev_new[vi], sample_k, rng);
     }
 
-    // Lines 17–22: neighbor checks. With a batch-capable distance functor
-    // the candidates of one center u1 are gathered (filtered against the
-    // list state before any of u1's updates) and evaluated through the
-    // one-query-vs-many kernel; updates are then applied in the original
-    // pair order, so the result is a pure function of the values —
-    // identical across the scalar and SIMD dispatch paths.
+    // Lines 17–22: neighbor checks. The candidates of one center u1 are
+    // gathered (filtered against the list state before any of u1's
+    // updates), evaluated with one evaluate_rows() call, and applied in
+    // the original pair order, so the result is a pure function of the
+    // values — identical across functors and dispatch paths.
     std::uint64_t c = 0;
-    if constexpr (BatchDistance<DistanceFn, T>) {
-      std::vector<VertexId> cand;
-      std::vector<const T*> rows;
-      std::vector<Dist> dists;
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        const auto& nu = new_ids[vi];
-        const auto& ol = old_ids[vi];
-        for (std::size_t i = 0; i < nu.size(); ++i) {
-          const VertexId u1 = nu[i];
-          cand.clear();
-          rows.clear();
-          const auto gather = [&](VertexId u2) {
-            if (u1 == u2) return;
-            // The both-sides-known skip from check(): purely a work saver
-            // — update() no-ops on contained ids, so a pair that becomes
-            // redundant mid-batch cannot change the graph.
-            if (lists_[u1].contains(u2) && lists_[u2].contains(u1)) return;
-            cand.push_back(u2);
-            rows.push_back((*points_)[u2].data());
-          };
-          for (std::size_t j = i + 1; j < nu.size(); ++j) gather(nu[j]);
-          for (const VertexId u2 : ol) gather(u2);
-          if (cand.empty()) continue;
-          dists.resize(cand.size());
-          const auto q = (*points_)[u1];
-          stats_.distance_evals += cand.size();
-          distance_.batch(q.data(), rows.data(), cand.size(), q.size(),
-                          dists.data());
-          for (std::size_t m = 0; m < cand.size(); ++m) {
-            c += static_cast<std::uint64_t>(
-                lists_[u1].update(cand[m], dists[m], true));
-            c += static_cast<std::uint64_t>(
-                lists_[cand[m]].update(u1, dists[m], true));
-          }
-        }
-      }
-    } else {
-      for (std::size_t vi = 0; vi < n; ++vi) {
-        const auto& nu = new_ids[vi];
-        const auto& ol = old_ids[vi];
-        for (std::size_t i = 0; i < nu.size(); ++i) {
-          for (std::size_t j = i + 1; j < nu.size(); ++j) {
-            c += check(nu[i], nu[j]);
-          }
-          for (const VertexId u2 : ol) {
-            c += check(nu[i], u2);
-          }
+    std::vector<VertexId> cand;
+    std::vector<const T*> rows;
+    std::vector<Dist> dists;
+    for (std::size_t vi = 0; vi < n; ++vi) {
+      const auto& nu = new_ids[vi];
+      const auto& ol = old_ids[vi];
+      for (std::size_t i = 0; i < nu.size(); ++i) {
+        const VertexId u1 = nu[i];
+        cand.clear();
+        const auto gather = [&](VertexId u2) {
+          if (u1 == u2) return;
+          // Skip a pair both sides already hold — the serial analogue of
+          // the §4.3.2/§4.3.3 savings and purely a work saver: update()
+          // no-ops on contained ids, so a pair that becomes redundant
+          // mid-row cannot change the graph.
+          if (lists_[u1].contains(u2) && lists_[u2].contains(u1)) return;
+          cand.push_back(u2);
+        };
+        for (std::size_t j = i + 1; j < nu.size(); ++j) gather(nu[j]);
+        for (const VertexId u2 : ol) gather(u2);
+        if (cand.empty()) continue;
+        dists.resize(cand.size());
+        stats_.distance_evals += cand.size();
+        evaluate_rows(
+            distance_, (*points_)[u1], cand.size(),
+            [&](std::size_t m) { return (*points_)[cand[m]]; }, dists.data(),
+            rows);
+        for (std::size_t m = 0; m < cand.size(); ++m) {
+          c += static_cast<std::uint64_t>(
+              lists_[u1].update(cand[m], dists[m], true));
+          c += static_cast<std::uint64_t>(
+              lists_[cand[m]].update(u1, dists[m], true));
         }
       }
     }
@@ -344,24 +277,6 @@ class NnDescent {
         for (const auto& [u, v] : b.new_pairs) rev_new[u].push_back(v);
       }
     });
-  }
-
-  /// Lines 19–22 for one pair.
-  std::uint64_t check(VertexId u1, VertexId u2) {
-    if (u1 == u2) return 0;
-    // Skip the distance evaluation entirely when neither side could
-    // accept the candidate — the serial analogue of the §4.3.2/§4.3.3
-    // savings; it does not change the result, only the work.
-    auto& l1 = lists_[u1];
-    auto& l2 = lists_[u2];
-    const bool in1 = l1.contains(u2);
-    const bool in2 = l2.contains(u1);
-    if (in1 && in2) return 0;
-    const Dist d = eval(u1, u2);
-    std::uint64_t c = 0;
-    if (!in1) c += static_cast<std::uint64_t>(l1.update(u2, d, true));
-    if (!in2) c += static_cast<std::uint64_t>(l2.update(u1, d, true));
-    return c;
   }
 
   static void merge_sample(std::vector<VertexId>& dst,

@@ -48,7 +48,7 @@ struct Datagram {
   /// payload bytes, so it does not count toward the Fig. 4 byte
   /// accounting.
   std::uint64_t post_ts_us = 0;
-  std::vector<std::byte> payload;
+  std::vector<std::byte> payload{};
 };
 
 /// In-process stand-in for an MPI communicator's transport layer.

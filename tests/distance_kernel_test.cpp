@@ -8,7 +8,8 @@
 // compares are on the bit pattern, never EXPECT_FLOAT_EQ), then checks
 // the consequence the rest of the repo relies on: serial, brute-force,
 // searcher, and distributed builds come out byte-identical whichever
-// dispatch path executed.
+// dispatch path executed — and whether or not the functor has a batch
+// kernel at all.
 //
 // Also hosts the feature-store satellite tests (CSR empty/dense-ctor
 // edge cases) and the dnnd.bench.v1 schema check for the shared bench
@@ -28,6 +29,7 @@
 #include "comm/environment.hpp"
 #include "core/distance.hpp"
 #include "core/distance_kernels.hpp"
+#include "core/distributed_query.hpp"
 #include "core/dnnd_runner.hpp"
 #include "core/feature_store.hpp"
 #include "core/knn_query.hpp"
@@ -298,6 +300,95 @@ TEST(BuildBitIdentity, BruteForceGraphMatchesAcrossDispatchAndBatching) {
         points, core::SquaredL2Kernel<float>{}, 6);
     EXPECT_EQ(scalar, batched);
   }
+}
+
+// A batch-less twin of core::L2Kernel<float>: the same operator() and no
+// `batch` member, so core::evaluate_rows calls it once per row.
+struct L2Twin {
+  core::Dist operator()(std::span<const float> a,
+                        std::span<const float> b) const {
+    return core::L2Kernel<float>{}(a, b);
+  }
+};
+static_assert(!core::BatchDistance<L2Twin, float>);
+static_assert(core::BatchDistance<core::L2Kernel<float>, float>);
+
+// Every evaluation loop has one path, so a functor without a batch kernel
+// must reproduce the kernel functor's graphs, answers AND work counters in
+// serial NN-Descent, the searcher, the 4-rank build and the query service.
+TEST(BuildBitIdentity, BatchlessTwinMatchesKernelFunctorEverywhere) {
+  using Kernel = core::L2Kernel<float>;
+  data::MixtureSpec spec;
+  spec.dim = 32;
+  spec.num_clusters = 8;
+  spec.seed = 1;
+  const data::GaussianMixture mixture(spec);
+  const auto points = mixture.sample(2000, 1);
+  const auto queries = mixture.sample(40, 2);
+  const auto same_answers = [](const std::vector<core::SearchResult>& a,
+                               const std::vector<core::SearchResult>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].distance_evals, b[i].distance_evals) << "query " << i;
+      EXPECT_EQ(a[i].visited, b[i].visited) << "query " << i;
+      ASSERT_EQ(a[i].neighbors.size(), b[i].neighbors.size());
+      for (std::size_t j = 0; j < a[i].neighbors.size(); ++j) {
+        EXPECT_EQ(a[i].neighbors[j].id, b[i].neighbors[j].id);
+        EXPECT_EQ(bits(a[i].neighbors[j].distance),
+                  bits(b[i].neighbors[j].distance));
+      }
+    }
+  };
+
+  // Serial NN-Descent, then the searcher over its graph.
+  core::NnDescentConfig cfg;
+  cfg.k = 10;
+  cfg.seed = 1;
+  core::NnDescentStats kernel_stats, twin_stats;
+  const auto graph =
+      core::build_nn_descent(points, Kernel{}, cfg, &kernel_stats);
+  EXPECT_EQ(core::build_nn_descent(points, L2Twin{}, cfg, &twin_stats), graph);
+  EXPECT_EQ(twin_stats.distance_evals, kernel_stats.distance_evals);
+  EXPECT_EQ(twin_stats.updates_per_iteration,
+            kernel_stats.updates_per_iteration);
+  EXPECT_EQ(twin_stats.tasks, kernel_stats.tasks);
+  EXPECT_GT(kernel_stats.tasks, 0u);
+
+  core::SearchParams params;
+  params.num_neighbors = 10;
+  params.epsilon = 0.2;
+  same_answers(core::GraphSearcher(graph, points, Kernel{})
+                   .batch_search(queries, params, 1),
+               core::GraphSearcher(graph, points, L2Twin{})
+                   .batch_search(queries, params, 1));
+
+  // The 4-rank build and the query service over it.
+  struct Distributed {
+    core::KnnGraph graph;
+    std::uint64_t engine_evals = 0;
+    std::vector<core::SearchResult> answers;
+  };
+  const auto run = [&]<typename Fn>(Fn fn) {
+    comm::Environment env(comm::Config{.num_ranks = 4});
+    core::DnndConfig dcfg;
+    dcfg.k = 10;
+    core::DnndRunner<float, Fn> runner(env, dcfg, fn);
+    runner.distribute(points);
+    (void)runner.build();
+    Distributed out;
+    out.graph = runner.gather();
+    out.engine_evals =
+        env.aggregate_metrics().counter_value("engine.distance_evals");
+    core::DistributedQueryService<float, Fn> service(env, runner, fn);
+    out.answers = service.run(queries, params);
+    return out;
+  };
+  const Distributed kernel_run = run(Kernel{});
+  const Distributed twin_run = run(L2Twin{});
+  EXPECT_EQ(twin_run.graph, kernel_run.graph);
+  EXPECT_GT(kernel_run.engine_evals, 0u);
+  EXPECT_EQ(twin_run.engine_evals, kernel_run.engine_evals);
+  same_answers(kernel_run.answers, twin_run.answers);
 }
 
 TEST(BuildBitIdentity, GraphSearcherResultsMatchAcrossDispatch) {

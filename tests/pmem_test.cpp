@@ -302,7 +302,7 @@ TEST(Manager, TypeMismatchThrows) {
   TempFile file("dnnd_pmem_type.dat");
   auto mgr = pmem::Manager::create(file.path(), 1 << 20);
   mgr.find_or_construct<int>("obj", 1);
-  EXPECT_THROW(mgr.find<double>("obj"), std::runtime_error);
+  EXPECT_THROW((void)mgr.find<double>("obj"), std::runtime_error);
 }
 
 TEST(Manager, OpenMissingFileThrows) {

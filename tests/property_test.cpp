@@ -434,7 +434,9 @@ TEST_P(DnndGrid, InvariantsAndQualityHold) {
       ASSERT_NE(row[i].id, v);
       ASSERT_LT(row[i].id, 250u);
       ASSERT_FLOAT_EQ(row[i].distance, L2Fn{}(points[v], points[row[i].id]));
-      if (i > 0) ASSERT_GE(row[i].distance, row[i - 1].distance);
+      if (i > 0) {
+        ASSERT_GE(row[i].distance, row[i - 1].distance);
+      }
       for (std::size_t j = i + 1; j < row.size(); ++j) {
         ASSERT_NE(row[i].id, row[j].id);
       }

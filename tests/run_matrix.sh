@@ -3,7 +3,9 @@
 # configuration and runs the tier-1, recovery, concurrency and
 # serving-chaos suites plus the metrics gate in each. Today's matrix:
 #
-#   default        the normal build (no flags)
+#   default        the normal build, with warnings as errors
+#                  (DNND_WERROR=ON: the tree builds with zero warnings
+#                  under -Wall -Wextra, and this leg keeps it so)
 #   simd-off       DNND_SIMD=OFF (the AVX2 distance-kernel TU is not even
 #                  compiled; the blocked scalar reference carries every
 #                  build. The kernel determinism contract says this flavour
@@ -35,7 +37,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A configs=(
-  [default]=""
+  [default]="-DDNND_WERROR=ON"
   [simd-off]="-DDNND_SIMD=OFF"
   [tsan]="-DDNND_SANITIZE=thread"
   [asan]="-DDNND_SANITIZE=address"

@@ -16,10 +16,11 @@
 // core/nn_descent.hpp and DESIGN.md ("Threading model").
 //
 // Scope notes baked into the matrix:
-//   - Batch-capable functors only: the non-batch path stays truly serial
-//     (its live per-pair filter makes eval counts schedule-dependent),
-//     and batch vs non-batch graphs are never compared (a mid-center
-//     eviction can legally re-admit a filtered pair).
+//   - Serial NN-Descent runs two functors: the kernel functor and a
+//     batch-less twin. Every functor takes the same pool stages
+//     (core::evaluate_rows makes one batch call, or one call per row), so
+//     both must be thread-count-invariant. That the two functors agree
+//     with each other is tests/distance_kernel_test.cpp's job.
 //   - Cross-driver bit-equality additionally needs the schedule-
 //     independent config from chaos_test.cpp (delta = 0,
 //     redundant_check_reduction = false); with the default config each
@@ -56,6 +57,15 @@ using core::DnndConfig;
 using core::DnndRunner;
 
 using L2Batch = core::L2Kernel<float>;
+
+/// A batch-less twin of L2Batch: the same operator(), no `batch` member.
+struct L2Twin {
+  core::Dist operator()(std::span<const float> a,
+                        std::span<const float> b) const {
+    return L2Batch{}(a, b);
+  }
+};
+static_assert(!core::BatchDistance<L2Twin, float>);
 
 core::FeatureStore<float> clustered(std::size_t n, std::uint64_t seed = 21) {
   data::MixtureSpec spec;
@@ -136,6 +146,7 @@ struct SerialRun {
   core::NnDescentStats stats;
 };
 
+template <typename Fn = L2Batch>
 SerialRun run_serial(const core::FeatureStore<float>& points,
                      std::uint64_t seed, std::size_t threads) {
   core::NnDescentConfig cfg;
@@ -143,7 +154,7 @@ SerialRun run_serial(const core::FeatureStore<float>& points,
   cfg.seed = seed;
   cfg.threads = threads;
   SerialRun run;
-  run.graph = core::build_nn_descent(points, L2Batch{}, cfg, &run.stats);
+  run.graph = core::build_nn_descent(points, Fn{}, cfg, &run.stats);
   return run;
 }
 
@@ -151,11 +162,11 @@ class SerialThreadParity
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
 };
 
-TEST_P(SerialThreadParity, BitIdenticalToSingleThread) {
-  const auto [seed, threads] = GetParam();
-  const auto points = clustered(500, seed);
-  const SerialRun ref = run_serial(points, seed, 1);
-  const SerialRun run = run_serial(points, seed, threads);
+template <typename Fn>
+void expect_serial_thread_parity(const core::FeatureStore<float>& points,
+                                 std::uint64_t seed, std::size_t threads) {
+  const SerialRun ref = run_serial<Fn>(points, seed, 1);
+  const SerialRun run = run_serial<Fn>(points, seed, threads);
 
   EXPECT_TRUE(run.graph == ref.graph)
       << "graph diverged at threads=" << threads;
@@ -164,12 +175,25 @@ TEST_P(SerialThreadParity, BitIdenticalToSingleThread) {
   EXPECT_EQ(run.stats.updates, ref.stats.updates);
   EXPECT_EQ(run.stats.updates_per_iteration, ref.stats.updates_per_iteration);
   // Schedule shape: the task decomposition depends on the work size only —
-  // one task per 256-vertex block per staged pass (initialize()'s batched
+  // one task per 256-vertex block per staged pass (initialize()'s
   // evaluation, then per iteration the list split and both reversed-matrix
   // passes). The neighbor checks run inline, so no section is per center.
   EXPECT_EQ(run.stats.tasks, ref.stats.tasks);
   const std::uint64_t blocks = (points.size() + 255) / 256;
   EXPECT_EQ(run.stats.tasks, blocks * (1 + 3 * run.stats.iterations));
+}
+
+TEST_P(SerialThreadParity, BitIdenticalToSingleThread) {
+  const auto [seed, threads] = GetParam();
+  const auto points = clustered(500, seed);
+  {
+    SCOPED_TRACE("kernel functor");
+    expect_serial_thread_parity<L2Batch>(points, seed, threads);
+  }
+  {
+    SCOPED_TRACE("batch-less twin");
+    expect_serial_thread_parity<L2Twin>(points, seed, threads);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
