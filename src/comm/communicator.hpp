@@ -268,7 +268,6 @@ class Communicator {
     ++buffer.message_count;
     world_->note_messages_submitted(1);
     stats_.on_send(handler, dest != rank_, message_bytes);
-    ++async_count_;
     if (send_buffer_bytes_ == 0) flush_to(dest);
   }
 
@@ -282,12 +281,6 @@ class Communicator {
   /// poll it make progress even when nothing is arriving.
   std::size_t process_available(
       std::size_t max_datagrams = static_cast<std::size_t>(-1));
-
-  /// Total async() calls issued by this rank (drives the §4.4 batching
-  /// policy in the engines).
-  [[nodiscard]] std::uint64_t async_count() const noexcept {
-    return async_count_;
-  }
 
   /// True when the retry/dedup protocol is active for this rank.
   [[nodiscard]] bool reliable() const noexcept { return reliable_; }
@@ -442,7 +435,6 @@ class Communicator {
   };
   std::vector<Handler> handlers_;
   MessageStats stats_;
-  std::uint64_t async_count_ = 0;
 
   // -- telemetry ---------------------------------------------------------
   telemetry::Telemetry telemetry_;

@@ -38,9 +38,11 @@
 // The protocol tolerates crash-stop failures during the query epoch:
 //
 //   * Each shard is mirrored onto `replication_factor` ranks per the
-//     ReplicaMap's chained-successor placement (a post-build replication
-//     exchange copies rows + features). Slot 0 is the home rank, so with
-//     nothing dead every sub-request goes to the shard's owner.
+//     ReplicaMap's chained-successor placement: the service loads every
+//     rank with its own shard of the index plus copies of the ones it
+//     mirrors, so standing the service up sends no message. Slot 0 is
+//     the home rank, so with nothing dead every sub-request goes to the
+//     shard's owner.
 //   * Every sub-request (seed / row / eval-batch) carries an idempotent
 //     request id and a logical home shard. On per-request timeout it is
 //     re-issued to the next live replica with doubled timeout; one hedged
@@ -58,13 +60,18 @@
 //
 // With replication_factor == 1 (the default) nothing is mirrored; the
 // handlers, counters and failover logic are the same at every factor.
+//
+// The service's only input is a finished index (KnnGraph + FeatureStore),
+// the artifacts a build persists: build and serve share no live state.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -73,7 +80,7 @@
 #include "comm/communicator.hpp"
 #include "comm/environment.hpp"
 #include "core/distance_kernels.hpp"
-#include "core/dnnd_runner.hpp"
+#include "core/feature_store.hpp"
 #include "core/knn_graph.hpp"
 #include "core/knn_query.hpp"
 #include "core/partition.hpp"
@@ -89,6 +96,14 @@ namespace dnnd::core {
 struct ServingConfig {
   /// Ranks holding each shard (chained successors). 1 = no replication.
   int replication_factor = 1;
+};
+
+/// One shard of a finished index as a serving rank holds it: the
+/// adjacency rows of the shard's vertices and their features.
+template <typename T>
+struct Shard {
+  std::unordered_map<VertexId, std::vector<Neighbor>> rows;
+  FeatureStore<T> points;
 };
 
 /// One weighted shard draw: the home rank and the index of the drawn
@@ -138,19 +153,27 @@ struct RankFailureInfo {
 };
 
 /// Per-rank half of the service. Construct one per rank (same order on
-/// every rank), attach the DNND shard, then drive via
+/// every rank) with the shards the rank hosts, then drive via
 /// DistributedQueryService.
 template <typename T, typename DistanceFn>
 class QueryEngineRank {
  public:
+  /// `shards` has one entry per home rank, filled for the homes this rank
+  /// hosts (its own and the ones it mirrors) and empty elsewhere;
+  /// `shard_sizes` holds every shard's point count, the seed-draw weights.
   QueryEngineRank(comm::Communicator& comm, DistanceFn distance,
                   Partition partition, ReplicaMap replica_map,
+                  std::vector<Shard<T>> shards,
+                  std::vector<std::uint64_t> shard_sizes,
                   std::size_t threads = 1)
       : comm_(&comm),
         distance_(std::move(distance)),
         partition_(std::move(partition)),
         pool_(threads == 0 ? 1 : threads),
+        shards_(std::move(shards)),
+        shard_sizes_(std::move(shard_sizes)),
         replica_map_(std::move(replica_map)) {
+    for (const auto size : shard_sizes_) total_weight_ += size;
     rank_dead_.assign(static_cast<std::size_t>(comm.size()), 0);
     c_submitted_ = comm_->telemetry().counter("query.submitted");
     c_completed_ = comm_->telemetry().counter("query.completed");
@@ -174,74 +197,29 @@ class QueryEngineRank {
         comm_->telemetry().counter("query.failover.resubmitted");
     c_degraded_ = comm_->telemetry().counter("query.degraded.completed");
     c_hedges_ = comm_->telemetry().counter("query.hedge.sent");
-    t_replica_features_ = comm_->telemetry().mem_tag("mem.replica.features");
-    t_replica_rows_ = comm_->telemetry().mem_tag("mem.replica.rows");
+    // Mirrored shards are charged by payload: feature values plus one id
+    // per point, row entries plus one id per stored row.
+    const auto replica_features =
+        comm_->telemetry().mem_tag("mem.replica.features");
+    const auto replica_rows = comm_->telemetry().mem_tag("mem.replica.rows");
+    for (const int home : replica_map_.mirrored_homes(comm.rank())) {
+      const Shard<T>& shard = shards_[static_cast<std::size_t>(home)];
+      std::size_t values = 0;
+      for (std::size_t i = 0; i < shard.points.size(); ++i) {
+        values += shard.points.row(i).size();
+      }
+      replica_features.add(static_cast<std::int64_t>(
+          values * sizeof(T) + shard.points.size() * sizeof(VertexId)));
+      std::size_t entries = 0;
+      for (const auto& entry : shard.rows) entries += entry.second.size();
+      replica_rows.add(static_cast<std::int64_t>(
+          entries * sizeof(Neighbor) + shard.rows.size() * sizeof(VertexId)));
+    }
     register_handlers();
   }
 
   QueryEngineRank(const QueryEngineRank&) = delete;
   QueryEngineRank& operator=(const QueryEngineRank&) = delete;
-
-  /// Snapshots the rank's shard: adjacency rows (optimized if available)
-  /// and a pointer to its feature store.
-  void attach(DnndEngine<T, DistanceFn>& engine) {
-    rows_.clear();
-    if (!engine.optimized_rows().empty()) {
-      for (const auto& [v, row] : engine.optimized_rows()) rows_[v] = row;
-    } else {
-      for (auto& [v, row] : engine.shard_rows()) rows_[v] = std::move(row);
-    }
-    points_ = &engine.local_points();
-  }
-
-  /// Attaches a shard this engine owns outright (the serving-from-graph
-  /// path, where no DnndEngine survives to point into).
-  void attach_shard(std::unordered_map<VertexId, std::vector<Neighbor>> rows,
-                    FeatureStore<T> points) {
-    rows_ = std::move(rows);
-    owned_points_ = std::move(points);
-    points_ = &owned_points_;
-  }
-
-  void set_rank_weights(std::vector<std::uint64_t> counts) {
-    rank_weights_ = std::move(counts);
-    total_weight_ = 0;
-    for (const auto w : rank_weights_) total_weight_ += w;
-  }
-
-  /// Ships this rank's shard (features + adjacency rows) to its replica
-  /// successors. Call inside one phase on every rank after attaching the
-  /// shards; the quiescence barrier completes the exchange.
-  /// Features are re-inserted in home insertion order, so id_at() agrees
-  /// across replicas and any replica answers a seed_req identically.
-  void broadcast_shard_to_replicas() {
-    if (replica_map_.factor() <= 1) return;
-    std::vector<VertexId> point_ids;
-    std::vector<T> point_values;
-    if (points_ != nullptr) {
-      point_ids.reserve(points_->size());
-      for (std::size_t i = 0; i < points_->size(); ++i) {
-        point_ids.push_back(points_->id_at(i));
-        const auto row = points_->row(i);
-        point_values.insert(point_values.end(), row.begin(), row.end());
-      }
-    }
-    std::vector<VertexId> row_ids;
-    std::vector<std::uint32_t> row_lens;
-    std::vector<Neighbor> row_flat;
-    row_ids.reserve(rows_.size());
-    row_lens.reserve(rows_.size());
-    for (const auto& [v, row] : rows_) {
-      row_ids.push_back(v);
-      row_lens.push_back(static_cast<std::uint32_t>(row.size()));
-      row_flat.insert(row_flat.end(), row.begin(), row.end());
-    }
-    for (int slot = 1; slot < replica_map_.factor(); ++slot) {
-      comm_->async(replica_map_.replica(comm_->rank(), slot), h_replicate_,
-                   static_cast<std::uint32_t>(comm_->rank()), point_ids,
-                   point_values, row_ids, row_lens, row_flat);
-    }
-  }
 
   /// Starts one query with this rank as coordinator. Seeds are drawn
   /// coordinator-side from a per-query rng (fork of params.seed by query
@@ -266,7 +244,7 @@ class QueryEngineRank {
     util::Xoshiro256 qrng = util::Xoshiro256(params.seed).fork(query_index);
     for (std::size_t e = 0; e < entries; ++e) {
       const ShardDraw draw = sample_live_weighted_shard(
-          qrng, rank_weights_, total_weight_,
+          qrng, shard_sizes_, total_weight_,
           [this](int r) { return shard_alive(r); }, kSeedRedrawLimit);
       if (draw.home < 0) {
         ++state.sub_failed;
@@ -586,19 +564,13 @@ class QueryEngineRank {
     active_.erase(qid);
   }
 
-  /// Looks up the feature store serving shard `home` on this rank: the
-  /// rank's own store when home is local, else the mirrored copy.
-  const FeatureStore<T>* store_for_home(int home) const {
-    if (home == comm_->rank()) return points_;
-    const auto it = replica_points_.find(home);
-    return it == replica_points_.end() ? nullptr : &it->second;
-  }
-
-  const std::unordered_map<VertexId, std::vector<Neighbor>>* rows_for_home(
-      int home) const {
-    if (home == comm_->rank()) return &rows_;
-    const auto it = replica_rows_.find(home);
-    return it == replica_rows_.end() ? nullptr : &it->second;
+  /// The shard homed at `home` when this rank hosts it, else null.
+  const Shard<T>* shard_for(int home) const {
+    if (home < 0 || home >= replica_map_.num_ranks() ||
+        !replica_map_.hosts(comm_->rank(), home)) {
+      return nullptr;
+    }
+    return &shards_[static_cast<std::size_t>(home)];
   }
 
   /// One-query-vs-many evaluation of `ids` against `store`, one
@@ -624,8 +596,8 @@ class QueryEngineRank {
 
   /// Wire protocol. Every request carries (qid, req_id, coordinator,
   /// home, payload); every reply carries (qid, req_id, data). The handler
-  /// resolves `home` against its own shard or a mirrored replica, so any
-  /// rank in the replica chain serves the same bytes. Replies dedup
+  /// resolves `home` with shard_for(), and every rank in the replica chain
+  /// holds the same copy, so any of them serves the same bytes. Replies dedup
   /// coordinator-side by req_id: late answers after a reroute and the
   /// losing half of a hedged pair both drop on the pending-map miss.
   void register_handlers() {
@@ -641,13 +613,13 @@ class QueryEngineRank {
           // the same point (insertion order mirrors the home shard).
           std::vector<VertexId> ids;
           std::vector<Dist> dists;
-          const FeatureStore<T>* store = store_for_home(home);
-          if (store != nullptr && !store->empty()) {
-            const VertexId u = store->id_at(
-                static_cast<std::size_t>(seed_index) % store->size());
+          const Shard<T>* shard = shard_for(home);
+          if (shard != nullptr && !shard->points.empty()) {
+            const FeatureStore<T>& store = shard->points;
+            const VertexId u = store.id_at(
+                static_cast<std::size_t>(seed_index) % store.size());
             ids.push_back(u);
-            dists.push_back(
-                distance_(std::span<const T>(scratch_), (*store)[u]));
+            dists.push_back(distance_(std::span<const T>(scratch_), store[u]));
             comm_->telemetry().add(c_distance_evals_);
           }
           comm_->async(static_cast<int>(coordinator), h_eval_reply_, qid,
@@ -661,10 +633,10 @@ class QueryEngineRank {
           const auto home = static_cast<int>(ar.read<std::uint32_t>());
           const auto v = ar.read<VertexId>();
           std::vector<VertexId> ids;
-          const auto* rows = rows_for_home(home);
-          if (rows != nullptr) {
-            const auto it = rows->find(v);
-            if (it != rows->end()) {
+          const Shard<T>* shard = shard_for(home);
+          if (shard != nullptr) {
+            const auto it = shard->rows.find(v);
+            if (it != shard->rows.end()) {
               ids.reserve(it->second.size());
               for (const Neighbor& n : it->second) ids.push_back(n.id);
             }
@@ -681,9 +653,9 @@ class QueryEngineRank {
           ar.read_into(scratch_);
           auto ids = ar.read_vector<VertexId>();
           std::vector<Dist> dists;
-          const FeatureStore<T>* store = store_for_home(home);
-          if (store != nullptr) {
-            dists = evaluate_ids(*store, ids);
+          const Shard<T>* shard = shard_for(home);
+          if (shard != nullptr) {
+            dists = evaluate_ids(shard->points, ids);
           } else {
             ids.clear();  // a home this rank does not serve: empty reply
           }
@@ -732,41 +704,6 @@ class QueryEngineRank {
           --state.outstanding;
           complete_step_if_done(qid, state);
         });
-    h_replicate_ = comm_->register_handler(
-        "q_replicate", [this](int, serial::InArchive& ar) {
-          const auto home = static_cast<int>(ar.read<std::uint32_t>());
-          const auto point_ids = ar.read_vector<VertexId>();
-          const auto point_values = ar.read_vector<T>();
-          const auto row_ids = ar.read_vector<VertexId>();
-          const auto row_lens = ar.read_vector<std::uint32_t>();
-          const auto row_flat = ar.read_vector<Neighbor>();
-          FeatureStore<T> store;
-          if (!point_ids.empty()) {
-            const std::size_t dim = point_values.size() / point_ids.size();
-            for (std::size_t i = 0; i < point_ids.size(); ++i) {
-              store.add(point_ids[i],
-                        std::span<const T>(point_values.data() + i * dim, dim));
-            }
-          }
-          t_replica_features_.add(static_cast<std::int64_t>(
-              point_values.size() * sizeof(T) +
-              point_ids.size() * sizeof(VertexId)));
-          auto& rows = replica_rows_[home];
-          std::size_t off = 0;
-          for (std::size_t i = 0; i < row_ids.size(); ++i) {
-            const std::size_t len = row_lens[i];
-            rows.emplace(
-                row_ids[i],
-                std::vector<Neighbor>(
-                    row_flat.begin() + static_cast<std::ptrdiff_t>(off),
-                    row_flat.begin() + static_cast<std::ptrdiff_t>(off + len)));
-            off += len;
-          }
-          t_replica_rows_.add(static_cast<std::int64_t>(
-              row_flat.size() * sizeof(Neighbor) +
-              row_ids.size() * sizeof(VertexId)));
-          replica_points_[home] = std::move(store);
-        });
   }
 
   /// Grain for handler-side batched-eval tasks (fixed: the task count
@@ -778,10 +715,9 @@ class QueryEngineRank {
   Partition partition_;
   ThreadPool pool_;
 
-  std::unordered_map<VertexId, std::vector<Neighbor>> rows_;
-  const FeatureStore<T>* points_ = nullptr;
-  FeatureStore<T> owned_points_;  ///< attach_shard() storage
-  std::vector<std::uint64_t> rank_weights_;
+  /// One entry per home rank; only the hosted ones hold data.
+  std::vector<Shard<T>> shards_;
+  std::vector<std::uint64_t> shard_sizes_;  ///< seed-draw weights
   std::uint64_t total_weight_ = 0;
 
   std::uint64_t next_local_id_ = 0;
@@ -795,13 +731,9 @@ class QueryEngineRank {
   std::uint64_t next_req_id_ = 1;
   std::unordered_map<std::uint64_t, SubRequest> pending_;
   std::vector<std::uint64_t> scratch_req_ids_;
-  /// Mirrored shards, keyed by home rank.
-  std::unordered_map<int, FeatureStore<T>> replica_points_;
-  std::unordered_map<int, std::unordered_map<VertexId, std::vector<Neighbor>>>
-      replica_rows_;
 
   comm::HandlerId h_seed_req_ = 0, h_row_req_ = 0, h_eval_batch_ = 0;
-  comm::HandlerId h_row_reply_ = 0, h_eval_reply_ = 0, h_replicate_ = 0;
+  comm::HandlerId h_row_reply_ = 0, h_eval_reply_ = 0;
 
   telemetry::MetricId c_submitted_ = 0, c_completed_ = 0;
   telemetry::MetricId c_frontier_pops_ = 0, c_distance_evals_ = 0;
@@ -810,77 +742,69 @@ class QueryEngineRank {
   telemetry::MetricId c_failover_reissues_ = 0, c_failover_rerouted_ = 0;
   telemetry::MetricId c_failover_abandoned_ = 0, c_failover_resubmitted_ = 0;
   telemetry::MetricId c_degraded_ = 0, c_hedges_ = 0;
-  telemetry::MemTag t_replica_features_;
-  telemetry::MemTag t_replica_rows_;
 };
 
-/// Front-end: binds per-rank query engines to the shards (of a built
-/// DnndRunner, or of a finished graph) and runs query batches to
-/// completion.
+/// Front-end: loads a finished index onto per-rank query engines and runs
+/// query batches to completion.
 template <typename T, typename DistanceFn>
 class DistributedQueryService {
  public:
-  DistributedQueryService(comm::Environment& env,
-                          DnndRunner<T, DistanceFn>& runner,
-                          DistanceFn distance, const ServingConfig& config = {})
-      : env_(&env) {
-    const ReplicaMap replica_map(env.num_ranks(), config.replication_factor);
-    ranks_.reserve(static_cast<std::size_t>(env.num_ranks()));
-    const std::size_t threads =
-        resolve_threads(runner.config().threads_per_rank);
-    for (int r = 0; r < env.num_ranks(); ++r) {
-      ranks_.push_back(std::make_unique<QueryEngineRank<T, DistanceFn>>(
-          env.comm(r), distance, runner.partition(), replica_map, threads));
-    }
-    std::vector<std::uint64_t> counts;
-    counts.reserve(ranks_.size());
-    for (int r = 0; r < env.num_ranks(); ++r) {
-      ranks_[static_cast<std::size_t>(r)]->attach(runner.engine(r));
-      counts.push_back(runner.engine(r).local_point_count());
-    }
-    for (auto& rank : ranks_) rank->set_rank_weights(counts);
-    replicate_shards(replica_map);
-  }
-
-  /// Serving from a finished graph + feature set (no DnndRunner needed):
-  /// shards both by the hash partition, hands each engine its shard, and
-  /// runs the replication exchange. This is the "load index, serve
-  /// queries through failures" entry point the CLI uses.
+  /// Serves `graph` over `points` (the "load index, serve queries through
+  /// failures" entry point): shards both by the hash partition once and
+  /// hands every rank the shards it hosts, its own plus copies of the
+  /// `replication_factor - 1` it mirrors. A replica is a copy of its
+  /// home's shard, so id_at() agrees on every replica. Throws
+  /// std::invalid_argument when a row names a point `points` lacks.
   DistributedQueryService(comm::Environment& env, const KnnGraph& graph,
                           const FeatureStore<T>& points, DistanceFn distance,
-                          const ServingConfig& config, std::size_t threads = 0)
+                          const ServingConfig& config = {},
+                          std::size_t threads = 0)
       : env_(&env) {
+    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+      for (const Neighbor& n : graph.neighbors(v)) {
+        if (points.contains(n.id)) continue;
+        throw std::invalid_argument(
+            "DistributedQueryService: row " + std::to_string(v) +
+            " names point " + std::to_string(n.id) +
+            ", which has no feature");
+      }
+    }
     const Partition partition = Partition::hash(env.num_ranks());
     const auto nranks = static_cast<std::size_t>(env.num_ranks());
-    std::vector<FeatureStore<T>> stores(nranks);
-    std::vector<std::unordered_map<VertexId, std::vector<Neighbor>>> rows(
-        nranks);
+    std::vector<Shard<T>> shards(nranks);
     for (std::size_t i = 0; i < points.size(); ++i) {
       const VertexId id = points.id_at(i);
-      stores[static_cast<std::size_t>(partition.owner(id))].add(id,
-                                                               points.row(i));
+      shards[static_cast<std::size_t>(partition.owner(id))].points.add(
+          id, points.row(i));
     }
     for (VertexId v = 0; v < graph.num_vertices(); ++v) {
       const auto row = graph.neighbors(v);
       if (row.empty()) continue;
-      rows[static_cast<std::size_t>(partition.owner(v))].emplace(
+      shards[static_cast<std::size_t>(partition.owner(v))].rows.emplace(
           v, std::vector<Neighbor>(row.begin(), row.end()));
     }
+    std::vector<std::uint64_t> sizes;
+    sizes.reserve(nranks);
+    for (const Shard<T>& shard : shards) sizes.push_back(shard.points.size());
+    // Copy every mirror before the home shards move into their ranks.
     const ReplicaMap replica_map(env.num_ranks(), config.replication_factor);
-    ranks_.reserve(nranks);
-    std::vector<std::uint64_t> counts;
-    counts.reserve(nranks);
+    std::vector<std::vector<Shard<T>>> hosted(nranks);
     for (int r = 0; r < env.num_ranks(); ++r) {
-      counts.push_back(stores[static_cast<std::size_t>(r)].size());
+      auto& table = hosted[static_cast<std::size_t>(r)];
+      table.resize(nranks);
+      for (const int home : replica_map.mirrored_homes(r)) {
+        table[static_cast<std::size_t>(home)] =
+            shards[static_cast<std::size_t>(home)];
+      }
+    }
+    ranks_.reserve(nranks);
+    for (int r = 0; r < env.num_ranks(); ++r) {
+      const auto at = static_cast<std::size_t>(r);
+      hosted[at][at] = std::move(shards[at]);
       ranks_.push_back(std::make_unique<QueryEngineRank<T, DistanceFn>>(
           env.comm(r), distance, partition, replica_map,
-          resolve_threads(threads)));
-      ranks_.back()->attach_shard(
-          std::move(rows[static_cast<std::size_t>(r)]),
-          std::move(stores[static_cast<std::size_t>(r)]));
+          std::move(hosted[at]), sizes, resolve_threads(threads)));
     }
-    for (auto& rank : ranks_) rank->set_rank_weights(counts);
-    replicate_shards(replica_map);
   }
 
   /// Rank failures observed during run(); cleared at each run() start.
@@ -1043,14 +967,6 @@ class DistributedQueryService {
   }
 
  private:
-  /// Mirrors every shard onto its replicas under one quiescence barrier.
-  void replicate_shards(const ReplicaMap& replica_map) {
-    if (replica_map.factor() <= 1) return;
-    env_->execute_phase([&](int r) {
-      ranks_[static_cast<std::size_t>(r)]->broadcast_shard_to_replicas();
-    });
-  }
-
   comm::Environment* env_;
   std::vector<std::unique_ptr<QueryEngineRank<T, DistanceFn>>> ranks_;
   std::vector<RankFailureInfo> rank_failures_;

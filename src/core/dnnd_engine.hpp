@@ -583,10 +583,6 @@ class DnndEngine {
     return distance_evals_;
   }
 
-  [[nodiscard]] const NeighborList& list_of(VertexId v) const {
-    return lists_.at(v);
-  }
-
  private:
   /// Grain for staged vertex-block stages. A fixed constant (never a
   /// function of the thread count) so the task decomposition — and the

@@ -35,14 +35,6 @@ using MemTagId = std::size_t;
 
 class MemoryLedger {
  public:
-  /// One tag's state. `current` may transiently dip negative if a charge
-  /// outlives the ledger view that sums it; `peak` is monotone.
-  struct Reading {
-    std::string name;
-    std::int64_t current = 0;
-    std::int64_t peak = 0;
-  };
-
   /// Interns `name`, returning the existing id if already present.
   /// Setup-time only (may relocate storage).
   MemTagId tag(std::string_view name) {
@@ -92,14 +84,6 @@ class MemoryLedger {
     }
   }
 
-  [[nodiscard]] std::vector<Reading> readings() const {
-    std::vector<Reading> out;
-    out.reserve(entries_.size());
-    for_each([&](const std::string& name, std::int64_t cur,
-                 std::int64_t peak) { out.push_back({name, cur, peak}); });
-    return out;
-  }
-
   /// Folds `other` in by name: both current and peak SUM. Summing peaks
   /// makes the merge associative and commutative (required so any merge
   /// tree yields the same cluster view); the summed peak is an upper
@@ -123,6 +107,8 @@ class MemoryLedger {
   }
 
  private:
+  /// One tag's state. `current` may transiently dip negative if a charge
+  /// outlives the ledger view that sums it; `peak` is monotone.
   struct Entry {
     explicit Entry(std::string n) : name(std::move(n)) {}
     // Copy relaxes through the atomics so vector growth at setup time

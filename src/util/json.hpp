@@ -57,11 +57,6 @@ class Value {
   Value() : storage_(nullptr) {}
   Value(Storage storage) : storage_(std::move(storage)) {}
 
-  [[nodiscard]] bool is_null() const { return holds<std::nullptr_t>(); }
-  [[nodiscard]] bool is_bool() const { return holds<bool>(); }
-  [[nodiscard]] bool is_number() const { return holds<double>(); }
-  [[nodiscard]] bool is_string() const { return holds<std::string>(); }
-  [[nodiscard]] bool is_array() const { return holds<Array>(); }
   [[nodiscard]] bool is_object() const { return holds<Object>(); }
 
   [[nodiscard]] bool as_bool() const { return get<bool>(); }

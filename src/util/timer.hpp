@@ -19,8 +19,6 @@ class Timer {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
-  [[nodiscard]] double elapsed_ms() const { return elapsed_s() * 1e3; }
-
  private:
   clock::time_point start_;
 };

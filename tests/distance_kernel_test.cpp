@@ -379,7 +379,8 @@ TEST(BuildBitIdentity, BatchlessTwinMatchesKernelFunctorEverywhere) {
     out.graph = runner.gather();
     out.engine_evals =
         env.aggregate_metrics().counter_value("engine.distance_evals");
-    core::DistributedQueryService<float, Fn> service(env, runner, fn);
+    core::DistributedQueryService<float, Fn> service(env, out.graph, points,
+                                                     fn);
     out.answers = service.run(queries, params);
     return out;
   };

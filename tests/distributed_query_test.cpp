@@ -60,7 +60,8 @@ TEST_P(QueryRanks, HighRecallWithoutGather) {
   runner.build();
   runner.optimize();
 
-  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
+  core::DistributedQueryService<float, L2Fn> service(env, runner.gather(),
+                                                    w.base, L2Fn{});
   const auto results = service.run(w.queries, default_params());
   ASSERT_EQ(results.size(), w.queries.size());
   std::vector<std::vector<core::Neighbor>> computed;
@@ -85,7 +86,8 @@ TEST(DistributedQuery, ReportedDistancesAreExact) {
   core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
   runner.distribute(w.base);
   runner.build();
-  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
+  core::DistributedQueryService<float, L2Fn> service(env, runner.gather(),
+                                                    w.base, L2Fn{});
   const auto results = service.run(w.queries, default_params());
   for (std::size_t qi = 0; qi < w.queries.size(); ++qi) {
     for (const auto& n : results[qi].neighbors) {
@@ -122,7 +124,8 @@ TEST(DistributedQuery, MatchesSharedMemorySearcherQuality) {
   }
   const double shared_recall = core::mean_query_recall(shared, w.truth, 10);
 
-  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
+  core::DistributedQueryService<float, L2Fn> service(env, graph, w.base,
+                                                    L2Fn{});
   const auto results = service.run(w.queries, default_params());
   std::vector<std::vector<core::Neighbor>> distributed;
   for (const auto& r : results) distributed.push_back(r.neighbors);
@@ -142,7 +145,8 @@ TEST(DistributedQuery, ThreadedDriverAgrees) {
   core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
   runner.distribute(w.base);
   runner.build();
-  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
+  core::DistributedQueryService<float, L2Fn> service(env, runner.gather(),
+                                                    w.base, L2Fn{});
   const auto results = service.run(w.queries, default_params());
   std::vector<std::vector<core::Neighbor>> computed;
   for (const auto& r : results) computed.push_back(r.neighbors);
@@ -158,7 +162,8 @@ TEST(DistributedQuery, EpsilonTradesWorkForRecall) {
   runner.distribute(w.base);
   runner.build();
   runner.optimize();
-  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
+  core::DistributedQueryService<float, L2Fn> service(env, runner.gather(),
+                                                    w.base, L2Fn{});
 
   std::uint64_t prev_evals = 0;
   double prev_recall = -1;
@@ -189,8 +194,9 @@ TEST(DistributedQuery, WorksAfterDynamicUpdates) {
   core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
   runner.distribute(w.base);
   runner.build();
+  runner.optimize();
 
-  // Delete a slice, refine, re-attach a new service and query survivors.
+  // Delete a slice, refine, serve the refined index and query survivors.
   std::vector<core::VertexId> removed;
   for (core::VertexId v = 0; v < 400; v += 5) removed.push_back(v);
   runner.remove_points(removed);
@@ -203,7 +209,8 @@ TEST(DistributedQuery, WorksAfterDynamicUpdates) {
   const auto truth =
       baselines::brute_force_query_batch(survivors, w.queries, L2Fn{}, 10);
 
-  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
+  core::DistributedQueryService<float, L2Fn> service(env, runner.gather(),
+                                                    survivors, L2Fn{});
   const auto results = service.run(w.queries, default_params());
   std::vector<std::vector<core::Neighbor>> computed;
   for (const auto& r : results) {
@@ -226,7 +233,8 @@ TEST(DistributedQuery, RepeatedRunsAnswerIdentically) {
   core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
   runner.distribute(w.base);
   runner.build();
-  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
+  core::DistributedQueryService<float, L2Fn> service(env, runner.gather(),
+                                                    w.base, L2Fn{});
   const auto first = service.run(w.queries, default_params());
   const auto second = service.run(w.queries, default_params());
   ASSERT_EQ(first.size(), second.size());
@@ -237,6 +245,34 @@ TEST(DistributedQuery, RepeatedRunsAnswerIdentically) {
   }
 }
 
+TEST(DistributedQuery, RejectsRowsThatNameMissingPoints) {
+  // An index whose rows name a point without a feature would fail in the
+  // middle of a batch; the service refuses it up front instead.
+  const auto w = make_workload(100, 4);
+  core::KnnGraph graph(100);
+  graph.set_neighbors(7, {core::Neighbor{3, 1.0f, false},
+                         core::Neighbor{99, 2.0f, false}});
+  core::FeatureStore<float> points;
+  for (core::VertexId v = 0; v < 100; ++v) {
+    if (v != 99) points.add(v, w.base[v]);
+  }
+  comm::Environment env(comm::Config{.num_ranks = 4});
+  try {
+    core::DistributedQueryService<float, L2Fn> service(env, graph, points,
+                                                      L2Fn{});
+    FAIL() << "an index naming a missing point was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("row 7"), std::string::npos) << message;
+    EXPECT_NE(message.find("point 99"), std::string::npos) << message;
+  }
+  // The same rows over the complete feature set are served.
+  points.add(99, w.base[99]);
+  core::DistributedQueryService<float, L2Fn> service(env, graph, points,
+                                                    L2Fn{});
+  EXPECT_EQ(service.run(w.queries, default_params()).size(), 4u);
+}
+
 TEST(DistributedQuery, EmptyQueryBatch) {
   const auto w = make_workload(100, 0);
   comm::Environment env(comm::Config{.num_ranks = 2});
@@ -245,7 +281,8 @@ TEST(DistributedQuery, EmptyQueryBatch) {
   core::DnndRunner<float, L2Fn> runner(env, cfg, L2Fn{});
   runner.distribute(w.base);
   runner.build();
-  core::DistributedQueryService<float, L2Fn> service(env, runner, L2Fn{});
+  core::DistributedQueryService<float, L2Fn> service(env, runner.gather(),
+                                                    w.base, L2Fn{});
   EXPECT_TRUE(service.run(w.queries, default_params()).empty());
 }
 

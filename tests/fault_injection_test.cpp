@@ -134,6 +134,17 @@ ExactlyOnceResult run_exactly_once(FaultPlan plan, DriverKind driver,
   });
   EXPECT_TRUE(env.world().quiescent());
   EXPECT_EQ(env.world().submitted(), env.world().processed());
+  // Quiescence counts application messages, not transport copies, so the
+  // threaded barrier can end with a duplicated copy still queued in a
+  // mailbox. Deliver what is left before reading the counters.
+  for (bool queued = true; queued;) {
+    queued = false;
+    for (int r = 0; r < ranks; ++r) {
+      if (env.world().mailbox_empty(r)) continue;
+      queued = true;
+      env.comm(r).process_available();
+    }
+  }
   return ExactlyOnceResult{sum.load(), handled.load(), env.fault_stats(),
                            env.aggregate_transport_counters(),
                            env.world().datagrams_posted()};

@@ -5,7 +5,12 @@
 #
 #   default        the normal build, with warnings as errors
 #                  (DNND_WERROR=ON: the tree builds with zero warnings
-#                  under -Wall -Wextra, and this leg keeps it so)
+#                  under -Wall -Wextra, and this leg keeps it so). After
+#                  its metrics gate this leg also builds the benchmark's
+#                  own project, bench/suite (which compiles against the
+#                  library's public API), into build-matrix-suite and
+#                  runs its smoke tests, so removing an API the
+#                  benchmark calls fails here
 #   simd-off       DNND_SIMD=OFF (the AVX2 distance-kernel TU is not even
 #                  compiled; the blocked scalar reference carries every
 #                  build. The kernel determinism contract says this flavour
@@ -102,6 +107,11 @@ for name in "${selected[@]}"; do
   # single counter.
   # shellcheck disable=SC2086
   env ${run_env[$name]:-} tests/check_metrics_regression.sh "$build_dir"
+  if [[ "$name" == default ]]; then
+    cmake -S bench/suite -B build-matrix-suite
+    cmake --build build-matrix-suite -j "$(nproc)"
+    ctest --test-dir build-matrix-suite --output-on-failure
+  fi
 done
 
 echo "==== matrix passed: ${selected[*]} ===="

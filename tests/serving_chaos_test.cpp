@@ -17,11 +17,15 @@
 //      fault-free rf=1 run;
 //   5. a rank every engine declared dead receives no sub-request, and
 //      dead-rank-aware seed sampling consumes the same rng stream when
-//      nothing is dead.
+//      nothing is dead;
+//   6. every rank loads its replicas from the index itself: standing the
+//      service up sends no message at any factor, and each mirrored copy
+//      is charged under mem.replica.*.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "baselines/brute_force.hpp"
@@ -277,6 +281,44 @@ TEST(ServingChaos, AggressiveHedgingIsBitTransparent) {
 
   expect_bit_identical(hedged, reference);
   EXPECT_GT(env.aggregate_metrics().counter_value("query.hedge.sent"), 0u);
+}
+
+TEST(ServingChaos, ReplicasLoadFromTheIndexWithoutMessages) {
+  // Every rank takes its replicas straight from the index, so standing the
+  // service up posts no datagram and runs no barrier at any factor. The
+  // mirrored bytes are still charged to the ranks that hold them.
+  const Workload& w = workload();
+  const auto feature_bytes = static_cast<std::int64_t>(
+      w.base.size() * (w.base.dim() * sizeof(float) + sizeof(core::VertexId)));
+  std::int64_t row_bytes = 0;
+  for (core::VertexId v = 0; v < w.graph.num_vertices(); ++v) {
+    const auto row = w.graph.neighbors(v);
+    if (row.empty()) continue;
+    row_bytes += static_cast<std::int64_t>(row.size() * sizeof(core::Neighbor) +
+                                           sizeof(core::VertexId));
+  }
+  for (const int factor : {1, 2, 3}) {
+    SCOPED_TRACE("replication_factor " + std::to_string(factor));
+    ServingConfig serving;
+    serving.replication_factor = factor;
+    Environment env(Config{.num_ranks = kRanks});
+    const core::DistributedQueryService<float, L2Fn> service(
+        env, w.graph, w.base, L2Fn{}, serving, /*threads=*/1);
+    EXPECT_EQ(env.world().datagrams_posted(), 0u);
+    EXPECT_EQ(env.phase_epoch(), 0u);
+    // The merged registry keeps a gauge's maximum over ranks, so sum the
+    // per-rank registries.
+    env.sync_memory_gauges();
+    std::int64_t features = 0;
+    std::int64_t rows = 0;
+    for (int r = 0; r < kRanks; ++r) {
+      const auto& metrics = env.telemetry(r).metrics();
+      features += metrics.gauge_value("mem.replica.features");
+      rows += metrics.gauge_value("mem.replica.rows");
+    }
+    EXPECT_EQ(features, (factor - 1) * feature_bytes);
+    EXPECT_EQ(rows, (factor - 1) * row_bytes);
+  }
 }
 
 // -- the acceptance case: one replica of every shard killed mid-stream ---

@@ -393,8 +393,8 @@ TEST(QueryThreadParity, DistributedServiceResultsIndependentOfThreads) {
     DnndRunner<float, L2Batch> runner(env, cfg, L2Batch{});
     runner.distribute(points);
     runner.build();
-    core::DistributedQueryService<float, L2Batch> service(env, runner,
-                                                          L2Batch{});
+    core::DistributedQueryService<float, L2Batch> service(
+        env, runner.gather(), points, L2Batch{}, {}, threads);
     auto results = service.run(queries, params);
     return std::make_pair(std::move(results),
                           counter_map(env.aggregate_metrics()));
