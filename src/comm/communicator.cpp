@@ -30,6 +30,10 @@ Communicator::Communicator(mpi::World& world, int rank,
   detect_failures_ = reliable_ && detector_.enabled();
   if (detect_failures_) {
     last_heard_.assign(static_cast<std::size_t>(world.size()), 0);
+    if (detector_.min_silence_us != 0) {
+      last_heard_us_.assign(static_cast<std::size_t>(world.size()),
+                            telemetry::now_us());
+    }
   }
   g_inbox_depth_ = telemetry_.gauge("comm.inbox_depth");
   c_retransmits_ = telemetry_.counter("comm.retransmits");
@@ -181,6 +185,11 @@ void Communicator::check_failures() {
     if (tick_ <= heard) continue;
     const std::uint64_t silent = tick_ - heard;
     if (silent <= detector_.failure_timeout_ticks) continue;
+    if (!last_heard_us_.empty() &&
+        telemetry::now_us() - last_heard_us_[static_cast<std::size_t>(peer)] <
+            detector_.min_silence_us) {
+      continue;
+    }
     const std::uint64_t missed = silent / detector_.heartbeat_period_ticks;
     transport_.heartbeats_missed += missed;
     telemetry_.add(c_heartbeats_missed_, missed);
@@ -197,7 +206,10 @@ bool Communicator::reliable_receive(const mpi::Datagram& datagram) {
   const auto src = static_cast<std::size_t>(datagram.source);
   // Any datagram proves the sender was alive recently; heartbeats exist
   // only to keep this clock fresh across otherwise-silent stretches.
-  if (detect_failures_) last_heard_[src] = tick_;
+  if (detect_failures_) {
+    last_heard_[src] = tick_;
+    if (!last_heard_us_.empty()) last_heard_us_[src] = telemetry::now_us();
+  }
   if (datagram.kind == mpi::DatagramKind::kHeartbeat) return false;
   if (datagram.kind == mpi::DatagramKind::kAck) {
     ++transport_.acks_received;
@@ -256,11 +268,28 @@ void Communicator::send_pending_acks() {
 
 void Communicator::drive_retransmits() {
   ++tick_;
+  // This step has collected and acknowledged what it could: peers waiting
+  // on this rank may now count their next attempt.
+  world_->note_poll(rank_);
   for (int dest = 0; dest < size(); ++dest) {
     if (peer_presumed_dead(dest)) continue;
     auto& channel = send_channels_[static_cast<std::size_t>(dest)];
+    if (channel.pending.empty()) continue;
+    // After the first retransmission, a destination that has not polled
+    // since the last attempt has not answered it yet (it may just be
+    // descheduled): another copy would only queue behind the last one, and
+    // counting it would let this rank spend the whole budget alone. Wait
+    // for its next poll. A dead destination never polls again: the failure
+    // detector reports it when one runs; otherwise every attempt at it
+    // counts, so the budget is the backstop.
+    const std::uint64_t dest_polls = world_->polls(dest);
+    const bool wait_for_poll = world_->alive(dest) || detect_failures_;
     for (auto& [seq, pending] : channel.pending) {
       if (pending.retry_at > tick_) continue;
+      if (wait_for_poll && pending.attempts > 0 &&
+          pending.dest_polls == dest_polls) {
+        continue;
+      }
       if (pending.attempts >= retry_.max_retries) {
         throw TransportError(
             "Communicator: datagram " + std::to_string(seq) + " from rank " +
@@ -277,6 +306,7 @@ void Communicator::drive_retransmits() {
       copy.post_ts_us = telemetry::now_us();
       copy.payload = pending.payload;
       world_->post(dest, std::move(copy));
+      pending.dest_polls = dest_polls;
       ++pending.attempts;
       ++transport_.retransmits;
       telemetry_.add(c_retransmits_);

@@ -80,7 +80,11 @@ struct TraceContext {
 /// Retry/dedup protocol knobs. Ticks are retransmission-clock steps: one
 /// tick per process_available() call on the owning rank.
 struct RetryConfig {
-  std::uint32_t max_retries = 32;           ///< then TransportError
+  /// Then TransportError. After the first, a retransmission waits until
+  /// the destination has completed a polling step since the previous one
+  /// (World::note_poll), so the budget counts attempts it had a chance to
+  /// answer. Without a failure detector, attempts at a dead rank all count.
+  std::uint32_t max_retries = 32;
   /// First retransmit delay. Acks ride the receiver's normal processing
   /// loop, so under backlog they take many ticks to come back; too small a
   /// value floods the wire with spurious (deduped but wasted) retransmits.
@@ -166,6 +170,10 @@ struct FailureDetectorConfig {
   /// A peer silent (no datagram of any kind collected from it) for more
   /// than this many local ticks is declared failed. 0 = detection off.
   std::uint64_t failure_timeout_ticks = 0;
+  /// Wall-clock floor on that silence in microseconds; 0 = none. Under the
+  /// threaded driver a rank's ticks race ahead while a live peer's thread
+  /// waits for a CPU, so ticks alone would accuse a peer that is only slow.
+  std::uint64_t min_silence_us = 0;
 
   [[nodiscard]] bool enabled() const noexcept {
     return failure_timeout_ticks != 0;
@@ -361,6 +369,7 @@ class Communicator {
     std::uint64_t retry_at = 0;
     std::uint32_t backoff = 0;
     std::uint32_t attempts = 0;  ///< retransmissions so far
+    std::uint64_t dest_polls = 0;  ///< destination's polls at last attempt
   };
   struct SendChannel {
     std::uint64_t next_seq = 1;
@@ -476,6 +485,7 @@ class Communicator {
   /// Local tick at which a datagram (of any kind) was last collected from
   /// each peer. Self-entry unused.
   std::vector<std::uint64_t> last_heard_;
+  std::vector<std::uint64_t> last_heard_us_;  ///< wall clock, if floored
   telemetry::MetricId c_heartbeats_sent_ = 0;
   telemetry::MetricId c_heartbeats_missed_ = 0;
 };

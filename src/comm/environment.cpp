@@ -31,6 +31,9 @@ Environment::Environment(Config config)
   }
   if (timeout == kFailureDetectionOff) timeout = 0;
   detector.failure_timeout_ticks = timeout;
+  if (config_.driver == DriverKind::kThreaded) {
+    detector.min_silence_us = kThreadedMinSilenceUs;
+  }
   comms_.reserve(static_cast<std::size_t>(config_.num_ranks));
   h_barrier_wait_.reserve(static_cast<std::size_t>(config_.num_ranks));
   for (int r = 0; r < config_.num_ranks; ++r) {

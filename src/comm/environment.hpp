@@ -44,6 +44,11 @@ enum class DriverKind { kSequential, kThreaded };
 /// false-positive-free and much faster than the TransportError backstop.
 inline constexpr std::uint64_t kAutoFailureTimeoutTicks = 256;
 
+/// Wall-clock floor on a peer's silence before the threaded driver's
+/// detector accuses it (FailureDetectorConfig::min_silence_us): far longer
+/// than a loaded host keeps a live rank's thread off the CPU.
+inline constexpr std::uint64_t kThreadedMinSilenceUs = 200'000;
+
 /// Sentinel for Config::failure_timeout_ticks: never detect.
 inline constexpr std::uint64_t kFailureDetectionOff = ~std::uint64_t{0};
 

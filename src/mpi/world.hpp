@@ -124,6 +124,24 @@ class World {
 
   [[nodiscard]] bool mailbox_empty(int rank) const;
 
+  // -- Polling steps (retry/dedup protocol only) -------------------------
+  //
+  // A rank's communicator notes one poll per completed polling step, after
+  // it has collected and acknowledged what that step delivered. A sender
+  // reads its destination's count to spend its retry budget only on
+  // attempts the destination had a chance to answer, so a rank spinning
+  // while its peer is descheduled cannot exhaust the budget alone. Each
+  // rank writes only its own count.
+
+  void note_poll(int rank) noexcept {
+    mailboxes_[static_cast<std::size_t>(rank)]->polls.fetch_add(
+        1, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t polls(int rank) const noexcept {
+    return mailboxes_[static_cast<std::size_t>(rank)]->polls.load(
+        std::memory_order_relaxed);
+  }
+
   /// Current queued datagram count in `rank`'s mailbox (takes the mailbox
   /// mutex — a telemetry probe, not a hot-path primitive).
   [[nodiscard]] std::size_t mailbox_depth(int rank) const;
@@ -162,6 +180,7 @@ class World {
   struct Mailbox {
     mutable std::mutex mutex;
     std::deque<Datagram> queue;
+    std::atomic<std::uint64_t> polls{0};  ///< see note_poll()
   };
 
   void enqueue(int dest, Datagram&& datagram, bool front);

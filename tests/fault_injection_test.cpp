@@ -350,6 +350,43 @@ TEST(FaultInjection, RetryExhaustionPropagatesFromThreadedDriver) {
                TransportError);
 }
 
+// A rank that spins while its destination is not polling (a descheduled
+// thread) must not spend the retry budget alone: after the first
+// retransmission, each attempt waits for the destination's next poll.
+TEST(FaultInjection, RetryBudgetCountsOnlyAttemptsTheDestinationPolledFor) {
+  FaultPlan plan;
+  plan.overrides.push_back(EdgeOverride{0, 1, EdgePolicy{.drop = 1.0}});
+  Config cfg{.num_ranks = 2};
+  cfg.fault_plan = plan;
+  cfg.retry = comm::RetryConfig{.max_retries = 4,
+                                .initial_backoff_ticks = 1,
+                                .max_backoff_ticks = 1};
+  Environment env(cfg);
+  std::vector<HandlerId> h(2);
+  for (int r = 0; r < 2; ++r) {
+    h[static_cast<std::size_t>(r)] = env.comm(r).register_handler(
+        "x", [](int, serial::InArchive& ar) { ar.read<std::uint8_t>(); });
+  }
+  env.comm(0).async(1, h[0], std::uint8_t{1});
+  env.comm(0).flush();
+
+  for (int i = 0; i < 100; ++i) env.comm(0).process_available();
+  EXPECT_EQ(env.comm(0).transport_counters().retransmits, 1u);
+
+  // Once rank 1 polls between attempts, every attempt counts again.
+  try {
+    for (int i = 0; i < 100; ++i) {
+      env.comm(1).process_available();
+      env.comm(0).process_available();
+    }
+    FAIL() << "expected TransportError";
+  } catch (const TransportError& e) {
+    EXPECT_EQ(e.source(), 0);
+    EXPECT_EQ(e.dest(), 1);
+    EXPECT_EQ(e.attempts(), 4u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Engine-visible path: a failed channel aborts the DNND build with the
 // phase name attached instead of spinning in the barrier.
