@@ -137,9 +137,14 @@ QueryRow run_queries(const char* name, const core::FeatureStore<float>& base,
   row.wall_s = timer.elapsed_s();
   row.qps = static_cast<double>(queries.size()) / row.wall_s;
   row.datagrams = env.world().datagrams_posted();
-  const auto metrics = env.aggregate_metrics();
-  row.replica_bytes = metrics.gauge_value("mem.replica.features") +
-                      metrics.gauge_value("mem.replica.rows");
+  // The index's mirrored bytes are the sum over ranks; the merged
+  // registry would keep each gauge's maximum over ranks instead.
+  env.sync_memory_gauges();
+  for (int r = 0; r < env.num_ranks(); ++r) {
+    const auto& metrics = env.telemetry(r).metrics();
+    row.replica_bytes += metrics.gauge_value("mem.replica.features") +
+                         metrics.gauge_value("mem.replica.rows");
+  }
   std::vector<std::vector<core::Neighbor>> computed;
   computed.reserve(results.size());
   for (const auto& r : results) computed.push_back(r.neighbors);

@@ -9,8 +9,10 @@
 // (metric × element type × dim × batch × dispatch) and writes the rows —
 // evals/s, effective GB/s, and SIMD speedup over the pinned scalar
 // reference — to BENCH_micro.json (schema dnnd.bench.v1, see
-// bench/common.hpp). The committed snapshot of that file is the measured
-// evidence for the kernel-layer speedup claims in EXPERIMENTS.md.
+// bench/common.hpp). Each cell carries its slowest and fastest timing
+// window beside the median, so a comparison of two cells can check that
+// their ranges do not overlap. The committed snapshot of that file is the
+// measured evidence for the kernel-layer speedup claims in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -190,12 +192,19 @@ const KernelCase<T> kKernelCases[] = {
     {"inner_product", &core::k_batch_inner_product<T>},
 };
 
+/// One cell's evals/s: the median window, and the slowest and fastest.
+struct CellRate {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
 /// Evals/s for one (metric, dim, batch, dispatch) cell: repeated batched
 /// sweeps over a 1024-row feature store, timed after a warmup pass. The
 /// cell keeps the median of kRepeats windows of 0.2 s, so one disturbed
-/// window does not set it.
+/// window does not set it, and the range of the windows.
 template <typename T>
-double measure_evals_per_sec(const KernelCase<T>& kc,
+CellRate measure_evals_per_sec(const KernelCase<T>& kc,
                              const core::FeatureStore<T>& store,
                              const std::vector<T>& query, std::size_t batch) {
   const std::size_t n = store.size();
@@ -225,8 +234,8 @@ double measure_evals_per_sec(const KernelCase<T>& kc,
     } while (elapsed < 0.2);
     rates.push_back(static_cast<double>(evals) / elapsed);
   }
-  std::nth_element(rates.begin(), rates.begin() + kRepeats / 2, rates.end());
-  return rates[kRepeats / 2];
+  std::sort(rates.begin(), rates.end());
+  return {rates[kRepeats / 2], rates.front(), rates.back()};
 }
 
 template <typename T>
@@ -254,7 +263,7 @@ void kernel_sweep_rows(bench::BenchReport& report) {
         // Candidate row + query stream per evaluation.
         const double bytes_per_eval = 2.0 * static_cast<double>(dim) *
                                       static_cast<double>(sizeof(T));
-        double scalar_rate = 0;
+        CellRate scalar;
         for (const bool simd : {false, true}) {
           if (simd && !(core::simd_kernels_compiled() &&
                         core::simd_runtime_supported())) {
@@ -263,8 +272,9 @@ void kernel_sweep_rows(bench::BenchReport& report) {
           core::ScopedKernelDispatch d(
               simd ? core::KernelDispatch::kForceSimd
                    : core::KernelDispatch::kForceScalar);
-          const double rate = measure_evals_per_sec(kc, store, query, batch);
-          if (!simd) scalar_rate = rate;
+          const CellRate cell = measure_evals_per_sec(kc, store, query, batch);
+          if (!simd) scalar = cell;
+          const double rate = cell.median;
           const char* dispatch = simd ? "simd" : "scalar";
           auto& row = report.add_row(std::string("kernel/") + kc.metric + "/" +
                                      type_name + "/dim" +
@@ -276,17 +286,20 @@ void kernel_sweep_rows(bench::BenchReport& report) {
           row.params["batch"] = std::to_string(batch);
           row.params["dispatch"] = dispatch;
           row.metrics["evals_per_sec"] = rate;
+          row.metrics["evals_per_sec_min"] = cell.min;
+          row.metrics["evals_per_sec_max"] = cell.max;
           row.metrics["gbps"] = rate * bytes_per_eval / 1e9;
-          if (simd && scalar_rate > 0) {
-            row.metrics["speedup_vs_scalar"] = rate / scalar_rate;
+          if (simd && scalar.median > 0) {
+            row.metrics["speedup_vs_scalar"] = rate / scalar.median;
           }
           std::printf(
-              "kernel %-13s %-3s dim %4zu batch %3zu %-6s  %10.3e evals/s  "
-              "%7.2f GB/s%s\n",
-              kc.metric, type_name, dim, batch, dispatch, rate,
-              rate * bytes_per_eval / 1e9,
-              simd && scalar_rate > 0
-                  ? ("  (" + std::to_string(rate / scalar_rate) + "x)").c_str()
+              "kernel %-13s %-3s dim %4zu batch %3zu %-6s  %10.3e evals/s "
+              "[%.3e, %.3e]  %7.2f GB/s%s\n",
+              kc.metric, type_name, dim, batch, dispatch, rate, cell.min,
+              cell.max, rate * bytes_per_eval / 1e9,
+              simd && scalar.median > 0
+                  ? ("  (" + std::to_string(rate / scalar.median) + "x)")
+                        .c_str()
                   : "");
         }
       }

@@ -32,12 +32,19 @@
 // the wire counters show what the bundles cost.
 //
 // The optimized checks run as two supersteps per §4.4 chunk. In the
-// Type-1 round owner(u1) applies §4.3.2 against u1's list and buffers
-// the survivors by owner(u2); only Type-1 messages are in flight, so no
-// list changes during that round. In the Type-2+ round each rank sorts
-// and dedups its buffers (a pair reached from two centers is checked
-// once), sends the bundles, and owner(u2) evaluates each bundle with one
-// batched kernel call.
+// Type-1 round owner(u1) applies §4.3.2 against u1's list and appends the
+// survivors to u1's row bucket; only Type-1 messages are in flight, so no
+// list changes during that round. In the Type-2+ round each rank walks
+// the buckets in ascending u1, sorts and dedups each one (a pair reached
+// from two centers is checked once), sends one bundle per (u1,
+// owner(u2)), and owner(u2) evaluates each bundle with one batched kernel
+// call.
+//
+// Per-vertex state is indexed by the vertex's FeatureStore row, not by its
+// global id: the neighbor lists and the per-iteration samples are arrays
+// parallel to the feature rows. A handler turns each id it receives into
+// a row once (FeatureStore::row_of); a deletion compacts every array the
+// way FeatureStore::remove_batch compacted the features.
 //
 // Correctness note on §4.3.3 pruning: the bound on a Type-2+ bundle is
 // u1's farthest-neighbor distance when the bundle is sent. Farthest
@@ -50,8 +57,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <numeric>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -88,7 +95,6 @@ class DnndEngine {
     c_logical_type2plus_ =
         comm_->telemetry().counter("engine.logical_msgs.type2plus");
     c_logical_type3_ = comm_->telemetry().counter("engine.logical_msgs.type3");
-    forward_.resize(static_cast<std::size_t>(comm.size()));
     // Pool tasks dispatched by this rank's staged phases. The task
     // decomposition is a pure function of the work shape (size + grain),
     // so the count is bit-identical across thread counts; each task
@@ -100,12 +106,12 @@ class DnndEngine {
     pool_.set_telemetry(&comm_->telemetry(), c_tasks_);
     // Memory-ledger tags for the two big per-rank owners: the feature
     // shard (CSR payload + id index) and the k-NN graph rows (the lists_
-    // map nodes plus every row's bounded heap). Both stores are empty
-    // here, so retagging is free.
+    // array plus every row's bounded heap). Both stores are empty here,
+    // so retagging is free.
     t_features_ = comm_->telemetry().mem_tag("mem.engine.features");
     t_graph_ = comm_->telemetry().mem_tag("mem.engine.graph");
     points_.set_mem_tag(t_features_);
-    lists_ = ListMap(ListMapAlloc(t_graph_));
+    telemetry::retag(lists_, t_graph_);
     register_handlers();
   }
 
@@ -119,7 +125,7 @@ class DnndEngine {
   /// Adds a point this rank owns. Pre: owner_rank(id, size) == rank().
   void add_local_point(VertexId id, std::span<const T> feature) {
     assert(partition_.owner(id) == comm_->rank());
-    points_.add(id, feature);
+    append_point(id, feature);
   }
 
   /// Global dataset size; must be set on every rank before begin_init().
@@ -133,11 +139,7 @@ class DnndEngine {
   // ---- phase: random initialization (Alg. 1 lines 2–5) -------------------
 
   void start_init() {
-    lists_.clear();
-    lists_.reserve(points_.size());
-    for (const VertexId v : points_.ids()) {
-      lists_.emplace(v, NeighborList(config_.k, t_graph_));
-    }
+    for (NeighborList& list : lists_) list.clear();
     init_cursor_ = 0;
     init_targets_.clear();
   }
@@ -153,7 +155,8 @@ class DnndEngine {
       while (init_emitted_ < init_targets_.size()) {
         if (emitted >= quota) return false;
         const VertexId u = init_targets_[init_emitted_++];
-        comm_->async(partition_.owner(u), h_init_req_, u, v, points_[v]);
+        comm_->async(partition_.owner(u), h_init_req_, u, v,
+                     points_.row(init_cursor_));
         ++emitted;
       }
       init_targets_.clear();
@@ -169,8 +172,7 @@ class DnndEngine {
   /// and is seeded by emit_pending_init_chunk() + refinement iterations.
   void add_pending_point(VertexId id, std::span<const T> feature) {
     assert(partition_.owner(id) == comm_->rank());
-    points_.add(id, feature);
-    lists_.emplace(id, NeighborList(config_.k, t_graph_));
+    append_point(id, feature);
     pending_init_.push_back(id);
   }
 
@@ -215,10 +217,11 @@ class DnndEngine {
     std::uint64_t emitted = 0;
     while (!pending_init_.empty()) {
       const VertexId v = pending_init_.back();
+      const std::span<const T> feature = points_[v];
       while (pending_emitted_ < config_.k) {
         if (emitted >= quota) return false;
         const int dest = weighted_random_rank();
-        comm_->async(dest, h_init_sample_, v, points_[v]);
+        comm_->async(dest, h_init_sample_, v, feature);
         ++pending_emitted_;
         ++emitted;
       }
@@ -231,12 +234,9 @@ class DnndEngine {
   /// Deletes local points and their neighbor lists. The caller must then
   /// run repair_after_removal() on *every* rank with the full removed set.
   void remove_local_points(std::span<const VertexId> ids) {
-    for (const VertexId id : ids) {
-      lists_.erase(id);
-      old_ids_.erase(id);
-      new_ids_.erase(id);
-    }
-    points_.remove_batch(ids);
+    const std::vector<std::size_t> kept = points_.remove_batch(ids);
+    keep_rows(lists_, kept);
+    keep_rows(row_scratch_, kept);
   }
 
   /// Drops dangling references to removed vertices from every local list.
@@ -249,12 +249,11 @@ class DnndEngine {
       return std::binary_search(removed_sorted.begin(), removed_sorted.end(),
                                 id);
     };
-    const auto& ids = points_.ids();
     pool_.for_blocks(
-        ids.size(), kVertexGrain,
+        lists_.size(), kVertexGrain,
         [&](std::size_t, std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
-            auto& list = lists_.at(ids[i]);
+            auto& list = lists_[i];
             bool lost = false;
             NeighborList rebuilt(config_.k, t_graph_);
             for (const Neighbor& n : list.entries()) {
@@ -286,44 +285,40 @@ class DnndEngine {
   /// the visit order makes the sampled subset — and hence the whole build —
   /// a function of list *content* only, so any two schedules that deliver
   /// the same messages produce the same graph.
-  /// Staged for intra-rank threading: stage 1 (parallel, slot = local
-  /// vertex index) computes each list's canonical split — pure reads of
-  /// list content plus a private sort; stage 2 (sequential, local-index
-  /// order) owns everything schedule-sensitive: the rng stream, the
-  /// is_new flag flips, and the emission order. The rng consumption and
-  /// the outbound byte stream are identical to the fused serial loop for
-  /// any thread count.
+  /// Staged for intra-rank threading: stage 1 (parallel over rows)
+  /// computes each list's canonical split — pure reads of list content
+  /// plus a private sort; stage 2 (sequential, row order) owns everything
+  /// schedule-sensitive: the rng stream, the is_new flag flips, and the
+  /// emission order. The rng consumption and the outbound byte stream are
+  /// identical to the fused serial loop for any thread count.
   void sample_and_emit_reverse() {
     const std::size_t sample_k = scaled_sample_k();
-    old_ids_.clear();
-    new_ids_.clear();
-    rev_old_.clear();
-    rev_new_.clear();
-
-    const auto& ids = points_.ids();
-    struct SplitSlot {
-      std::vector<VertexId> old_list;  ///< old ids, canonical order
-      std::vector<std::size_t> fresh;  ///< fresh entry indices, canonical
-    };
-    std::vector<SplitSlot> slots(ids.size());
+    const std::size_t n = lists_.size();
+    // Stage 1 leaves each row's old ids in old_ids and the entry *indices*
+    // of its fresh entries in new_ids, both in canonical order; stage 2
+    // shuffles the indices and rewrites the sampled ones as ids.
     pool_.for_blocks(
-        ids.size(), kVertexGrain,
+        n, kVertexGrain,
         [&](std::size_t, std::size_t begin, std::size_t end) {
+          std::vector<std::size_t> order;
           for (std::size_t i = begin; i < end; ++i) {
-            const auto entries = std::as_const(lists_.at(ids[i])).entries();
-            std::vector<std::size_t> order(entries.size());
-            for (std::size_t e = 0; e < entries.size(); ++e) order[e] = e;
+            const auto entries = std::as_const(lists_[i]).entries();
+            order.resize(entries.size());
+            std::iota(order.begin(), order.end(), std::size_t{0});
             std::sort(order.begin(), order.end(),
                       [&](std::size_t a, std::size_t b) {
                         return entries[a].distance < entries[b].distance ||
                                (entries[a].distance == entries[b].distance &&
                                 entries[a].id < entries[b].id);
                       });
+            RowScratch& row = row_scratch_[i];
+            row.old_ids.clear();
+            row.new_ids.clear();
             for (const std::size_t e : order) {
               if (entries[e].is_new) {
-                slots[i].fresh.push_back(e);
+                row.new_ids.push_back(static_cast<VertexId>(e));
               } else {
-                slots[i].old_list.push_back(entries[e].id);
+                row.old_ids.push_back(entries[e].id);
               }
             }
           }
@@ -336,21 +331,18 @@ class DnndEngine {
       std::uint8_t is_new;
     };
     std::vector<RevEntry> outbound;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      const VertexId v = ids[i];
-      auto entries = lists_.at(v).entries();
-      auto& fresh = slots[i].fresh;
-      util::shuffle(fresh.begin(), fresh.end(), rng_);
-      const std::size_t take = std::min(sample_k, fresh.size());
-      auto& old_list = old_ids_[v];
-      old_list = std::move(slots[i].old_list);
-      auto& new_list = new_ids_[v];
-      for (std::size_t s = 0; s < take; ++s) {
-        entries[fresh[s]].is_new = false;
-        new_list.push_back(entries[fresh[s]].id);
+    for (std::size_t i = 0; i < n; ++i) {
+      const VertexId v = points_.id_at(i);
+      auto entries = lists_[i].entries();
+      RowScratch& row = row_scratch_[i];
+      util::shuffle(row.new_ids.begin(), row.new_ids.end(), rng_);
+      row.new_ids.resize(std::min(sample_k, row.new_ids.size()));
+      for (VertexId& fresh : row.new_ids) {
+        entries[fresh].is_new = false;
+        fresh = entries[fresh].id;
       }
-      for (const VertexId u : old_list) outbound.push_back({u, v, 0});
-      for (const VertexId u : new_list) outbound.push_back({u, v, 1});
+      for (const VertexId u : row.old_ids) outbound.push_back({u, v, 0});
+      for (const VertexId u : row.new_ids) outbound.push_back({u, v, 1});
     }
 
     util::shuffle(outbound.begin(), outbound.end(), rng_);
@@ -365,32 +357,26 @@ class DnndEngine {
   /// neighbor-check cursor.
   void merge_reverse_and_prepare_checks() {
     const std::size_t sample_k = scaled_sample_k();
-    // Stage 1: collect every reversed list (map operator[] may insert,
-    // so this walk stays sequential), then run the canonical pre-sort —
-    // the schedule-independence sort merge_sample requires — in parallel;
-    // each task sorts disjoint vectors in place. Stage 2 (sequential)
-    // owns the rng stream.
-    const auto& ids = points_.ids();
-    std::vector<std::vector<VertexId>*> rev_lists;
-    rev_lists.reserve(2 * ids.size());
-    for (const VertexId v : ids) {
-      rev_lists.push_back(&rev_old_[v]);
-      rev_lists.push_back(&rev_new_[v]);
-    }
+    // Stage 1 (parallel over rows): the canonical pre-sort — the
+    // schedule-independence sort merge_presorted requires — of each row's
+    // reversed lists, in place. Stage 2 (sequential) owns the rng stream.
     pool_.for_blocks(
-        rev_lists.size(), kVertexGrain,
+        row_scratch_.size(), kVertexGrain,
         [&](std::size_t, std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
-            std::sort(rev_lists[i]->begin(), rev_lists[i]->end());
+            std::sort(row_scratch_[i].rev_old.begin(),
+                      row_scratch_[i].rev_old.end());
+            std::sort(row_scratch_[i].rev_new.begin(),
+                      row_scratch_[i].rev_new.end());
           }
         },
         "rev_sort");
-    for (const VertexId v : ids) {
-      merge_presorted(old_ids_[v], rev_old_[v], sample_k);
-      merge_presorted(new_ids_[v], rev_new_[v], sample_k);
+    for (RowScratch& row : row_scratch_) {
+      merge_presorted(row.old_ids, row.rev_old, sample_k);
+      merge_presorted(row.new_ids, row.rev_new, sample_k);
+      row.rev_old.clear();
+      row.rev_new.clear();
     }
-    rev_old_.clear();
-    rev_new_.clear();
     check_vertex_ = 0;
     check_i_ = 0;
   }
@@ -404,10 +390,9 @@ class DnndEngine {
   /// Figure-1a per-pair messages.
   bool emit_check_chunk(std::uint64_t quota) {
     std::uint64_t emitted = 0;
-    while (check_vertex_ < points_.size()) {
-      const VertexId v = points_.id_at(check_vertex_);
-      const auto& nu = new_ids_[v];
-      const auto& ol = old_ids_[v];
+    while (check_vertex_ < row_scratch_.size()) {
+      const auto& nu = row_scratch_[check_vertex_].new_ids;
+      const auto& ol = row_scratch_[check_vertex_].old_ids;
       // Row i of center v pairs nu[i] with the tail of the new list
       // (new-new pairs are unordered: j > i) and then the old list.
       while (check_i_ < nu.size()) {
@@ -432,32 +417,39 @@ class DnndEngine {
     return true;
   }
 
-  /// Type-2+ round, after the Type-1 round quiesced: per destination,
-  /// sorts and dedups the pairs owner(u1)'s filter kept, then sends one
-  /// bundle per (u1, destination). Sorting makes the send order
-  /// independent of the order the Type-1 bundles arrived in.
+  /// Type-2+ round, after the Type-1 round quiesced: walks the u1 rows
+  /// whose filter kept pairs in ascending u1 id; sorts and dedups each
+  /// row's bucket, then sends one bundle per (u1, owner(u2)). Every
+  /// destination thus gets its bundles in ascending u1, each with its u2s
+  /// ascending, whatever order the Type-1 bundles arrived in.
   void emit_type2plus_bundles() {
-    for (int dest = 0; dest < comm_->size(); ++dest) {
-      auto& pairs = forward_[static_cast<std::size_t>(dest)];
-      std::sort(pairs.begin(), pairs.end());
-      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-      for (std::size_t b = 0; b < pairs.size();) {
-        const VertexId u1 = pairs[b].first;
+    std::sort(forward_rows_.begin(), forward_rows_.end(),
+              [&](std::size_t a, std::size_t b) {
+                return points_.id_at(a) < points_.id_at(b);
+              });
+    for (const std::size_t row : forward_rows_) {
+      auto& keys = row_scratch_[row].forward;
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      const VertexId u1 = points_.id_at(row);
+      const Dist bound = config_.distance_pruning
+                             ? lists_[row].furthest_distance()
+                             : kInfiniteDistance;
+      for (std::size_t b = 0; b < keys.size();) {
+        const int dest = forward_dest(keys[b]);
         check_row_.clear();
-        for (; b < pairs.size() && pairs[b].first == u1; ++b) {
-          check_row_.push_back(pairs[b].second);
+        for (; b < keys.size() && forward_dest(keys[b]) == dest; ++b) {
+          check_row_.push_back(static_cast<VertexId>(keys[b]));
         }
-        const Dist bound = config_.distance_pruning
-                               ? lists_.at(u1).furthest_distance()
-                               : kInfiniteDistance;
         if (dest != rank()) {
           comm_->telemetry().add(c_logical_type2plus_, check_row_.size());
         }
-        comm_->async(dest, h_type2plus_, u1, bound, points_[u1],
+        comm_->async(dest, h_type2plus_, u1, bound, points_.row(row),
                      std::span<const VertexId>(check_row_));
       }
-      pairs.clear();
+      keys.clear();
     }
+    forward_rows_.clear();
   }
 
   /// Successful Update() count since the last call (the counter `c`).
@@ -471,12 +463,10 @@ class DnndEngine {
   // ---- phase: graph optimization (§4.5) -----------------------------------
 
   /// Sends every edge's reverse to the target's owner. Staged: the
-  /// reverse-edge tuples are constructed in parallel (slot = local
-  /// vertex index, pure reads of the lists), then emitted sequentially
-  /// in local-index order — the byte stream on the wire is identical to
-  /// the fused serial loop.
+  /// reverse-edge tuples are constructed in parallel (slot = row, pure
+  /// reads of the lists), then emitted sequentially in row order — the
+  /// byte stream on the wire is identical to the fused serial loop.
   void emit_reverse_edges() {
-    extra_edges_.clear();
     const auto& ids = points_.ids();
     struct RevEdge {
       VertexId target;
@@ -487,8 +477,7 @@ class DnndEngine {
         ids.size(), kVertexGrain,
         [&](std::size_t, std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
-            for (const Neighbor& n :
-                 std::as_const(lists_.at(ids[i])).entries()) {
+            for (const Neighbor& n : std::as_const(lists_[i]).entries()) {
               slots[i].push_back({n.id, n.distance});
             }
           }
@@ -503,24 +492,21 @@ class DnndEngine {
   }
 
   /// Merges received reverse edges, dedups, prunes to k·m (closest
-  /// first). Each output row is a pure function of one vertex's list and
-  /// extra_edges_ entry, so the rows build in parallel slots and are
-  /// committed in local-index order.
+  /// first). Each output row is a pure function of one row's list and
+  /// received reverse edges, so the rows build in parallel slots and are
+  /// committed in row order.
   void finalize_optimization() {
     const auto max_degree = static_cast<std::size_t>(
         static_cast<double>(config_.k) * config_.prune_factor_m);
     const auto& ids = points_.ids();
-    const auto& extra = extra_edges_;  // const view: find only, no insert
     std::vector<std::vector<Neighbor>> rows(ids.size());
     pool_.for_blocks(
         ids.size(), kVertexGrain,
         [&](std::size_t, std::size_t begin, std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
-            std::vector<Neighbor> row = lists_.at(ids[i]).sorted();
-            const auto it = extra.find(ids[i]);
-            if (it != extra.end()) {
-              row.insert(row.end(), it->second.begin(), it->second.end());
-            }
+            std::vector<Neighbor> row = lists_[i].sorted();
+            const auto& extra = row_scratch_[i].extra_edges;
+            row.insert(row.end(), extra.begin(), extra.end());
             std::sort(row.begin(), row.end(),
                       [](const Neighbor& a, const Neighbor& b) {
                         return a.distance < b.distance ||
@@ -540,19 +526,19 @@ class DnndEngine {
     optimized_rows_.reserve(ids.size());
     for (std::size_t i = 0; i < ids.size(); ++i) {
       optimized_rows_.emplace_back(ids[i], std::move(rows[i]));
+      row_scratch_[i].extra_edges.clear();
     }
-    extra_edges_.clear();
   }
 
   // ---- results ------------------------------------------------------------
 
-  /// Raw (unoptimized) shard rows, sorted by distance.
+  /// Raw (unoptimized) shard rows, sorted by distance, in row order.
   [[nodiscard]] std::vector<std::pair<VertexId, std::vector<Neighbor>>>
   shard_rows() const {
     std::vector<std::pair<VertexId, std::vector<Neighbor>>> rows;
-    rows.reserve(points_.size());
-    for (const VertexId v : points_.ids()) {
-      rows.emplace_back(v, lists_.at(v).sorted());
+    rows.reserve(lists_.size());
+    for (std::size_t i = 0; i < lists_.size(); ++i) {
+      rows.emplace_back(points_.id_at(i), lists_[i].sorted());
     }
     return rows;
   }
@@ -561,15 +547,12 @@ class DnndEngine {
   /// included). Points must already be loaded; every row id must be local.
   void import_rows(
       const std::vector<std::pair<VertexId, std::vector<Neighbor>>>& rows) {
-    lists_.clear();
-    lists_.reserve(rows.size());
+    for (NeighborList& list : lists_) list.clear();
     for (const auto& [v, entries] : rows) {
-      assert(points_.contains(v));
-      NeighborList list(config_.k, t_graph_);
+      NeighborList& list = lists_[points_.row_of(v)];
       for (const Neighbor& n : entries) {
         list.update(n.id, n.distance, n.is_new);
       }
-      lists_.emplace(v, std::move(list));
     }
   }
 
@@ -592,6 +575,37 @@ class DnndEngine {
   std::size_t scaled_sample_k() const noexcept {
     return static_cast<std::size_t>(config_.rho *
                                     static_cast<double>(config_.k));
+  }
+
+  /// Appends a point with an empty list and empty per-iteration state:
+  /// every row-indexed array grows with the feature store.
+  void append_point(VertexId id, std::span<const T> feature) {
+    points_.add(id, feature);
+    lists_.emplace_back(config_.k, t_graph_);
+    row_scratch_.emplace_back();
+  }
+
+  /// Applies a FeatureStore::remove_batch compaction to a row-indexed
+  /// array: row i takes the entry of old row kept[i] (kept ascends, so
+  /// kept[i] >= i and no live entry is overwritten before it moves). A
+  /// row that stays put is skipped: a vector moved onto itself empties.
+  template <typename Rows>
+  static void keep_rows(Rows& rows, std::span<const std::size_t> kept) {
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      if (kept[i] != i) rows[i] = std::move(rows[kept[i]]);
+    }
+    rows.resize(kept.size());
+  }
+
+  /// A Type-1 survivor as one sort key: owner(u2) in the high half, u2 in
+  /// the low half, so sorting a row's bucket groups it by destination
+  /// with each group's u2s ascending.
+  static std::uint64_t forward_key(int dest, VertexId u2) noexcept {
+    static_assert(sizeof(VertexId) == 4);
+    return (static_cast<std::uint64_t>(dest) << 32) | u2;
+  }
+  static int forward_dest(std::uint64_t key) noexcept {
+    return static_cast<int>(key >> 32);
   }
 
   void generate_init_targets(VertexId v) {
@@ -673,12 +687,14 @@ class DnndEngine {
   void check_bundle(VertexId u1, Dist bound) {
     // §4.3.2: drop each u2 whose list already holds u1.
     bundle_ids_.clear();
-    bundle_lists_.clear();
+    bundle_rows_.clear();
     for (const VertexId u2 : scratch_ids_) {
-      NeighborList& l2 = lists_.at(u2);
-      if (config_.redundant_check_reduction && l2.contains(u1)) continue;
+      const std::size_t row = points_.row_of(u2);
+      if (config_.redundant_check_reduction && lists_[row].contains(u1)) {
+        continue;
+      }
       bundle_ids_.push_back(u2);
-      bundle_lists_.push_back(&l2);
+      bundle_rows_.push_back(row);
     }
     const std::size_t n = bundle_ids_.size();
     if (n == 0) return;
@@ -687,13 +703,13 @@ class DnndEngine {
     comm_->telemetry().add(c_distance_evals_, n);
     evaluate_rows(
         distance_, scratch_feature_, n,
-        [&](std::size_t i) { return points_[bundle_ids_[i]]; },
-        bundle_dists_.data(), bundle_rows_);
+        [&](std::size_t i) { return points_.row(bundle_rows_[i]); },
+        bundle_dists_.data(), bundle_ptrs_);
     replies_.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const Dist d = bundle_dists_[i];
       updates_ += static_cast<std::uint64_t>(
-          bundle_lists_[i]->update(u1, d, /*is_new=*/true));
+          lists_[bundle_rows_[i]].update(u1, d, /*is_new=*/true));
       // §4.3.3: reply only with the pairs u1 could still accept.
       if (d < bound) replies_.push_back({bundle_ids_[i], d});
     }
@@ -718,36 +734,34 @@ class DnndEngine {
         });
     h_init_rep_ = comm_->register_handler(
         "init_rep", [this](int, serial::InArchive& ar) {
-          const auto v = ar.read<VertexId>();
+          const std::size_t row = points_.row_of(ar.read<VertexId>());
           const auto u = ar.read<VertexId>();
           const auto d = ar.read<Dist>();
           updates_ += static_cast<std::uint64_t>(
-              lists_.at(v).update(u, d, /*is_new=*/true));
+              lists_[row].update(u, d, /*is_new=*/true));
         });
     h_rev_sample_ = comm_->register_handler(
         "rev_sample", [this](int, serial::InArchive& ar) {
-          const auto target = ar.read<VertexId>();
+          RowScratch& row = row_scratch_[points_.row_of(ar.read<VertexId>())];
           const auto source = ar.read<VertexId>();
           const auto is_new = ar.read<std::uint8_t>();
-          if (is_new != 0) {
-            rev_new_[target].push_back(source);
-          } else {
-            rev_old_[target].push_back(source);
-          }
+          (is_new != 0 ? row.rev_new : row.rev_old).push_back(source);
         });
     h_type1_ = comm_->register_handler(
         "type1", [this](int, serial::InArchive& ar) {
-          const auto u1 = ar.read<VertexId>();
+          const std::size_t row = points_.row_of(ar.read<VertexId>());
           ar.read_into(scratch_ids_);
-          const auto& l1 = lists_.at(u1);
+          const NeighborList& l1 = lists_[row];
+          auto& bucket = row_scratch_[row].forward;
+          const bool was_empty = bucket.empty();
           for (const VertexId u2 : scratch_ids_) {
             // §4.3.2: if u2 is already a neighbor the check is redundant
             // — its distance is known on this side and the other side
             // either has it or rejected it before.
             if (config_.redundant_check_reduction && l1.contains(u2)) continue;
-            forward_[static_cast<std::size_t>(partition_.owner(u2))]
-                .emplace_back(u1, u2);
+            bucket.push_back(forward_key(partition_.owner(u2), u2));
           }
+          if (was_empty && !bucket.empty()) forward_rows_.push_back(row);
         });
     h_type2plus_ = comm_->register_handler(
         "type2plus", [this](int, serial::InArchive& ar) {
@@ -759,9 +773,9 @@ class DnndEngine {
         });
     h_type3_ = comm_->register_handler(
         "type3", [this](int, serial::InArchive& ar) {
-          const auto u1 = ar.read<VertexId>();
+          const std::size_t row = points_.row_of(ar.read<VertexId>());
           ar.read_into(replies_);
-          auto& l1 = lists_.at(u1);
+          NeighborList& l1 = lists_[row];
           for (const CheckReply& r : replies_) {
             updates_ += static_cast<std::uint64_t>(
                 l1.update(r.id, r.distance, /*is_new=*/true));
@@ -776,11 +790,12 @@ class DnndEngine {
         });
     h_type2_unopt_ = comm_->register_handler(
         "type2_unopt", [this](int, serial::InArchive& ar) {
-          const auto u2 = ar.read<VertexId>();
+          const std::size_t row = points_.row_of(ar.read<VertexId>());
           const auto u1 = ar.read<VertexId>();
           ar.read_into(scratch_feature_);
-          const Dist d = eval(points_[u2], scratch_feature_);
-          updates_ += static_cast<std::uint64_t>(lists_.at(u2).update(u1, d, true));
+          const Dist d = eval(points_.row(row), scratch_feature_);
+          updates_ +=
+              static_cast<std::uint64_t>(lists_[row].update(u1, d, true));
         });
     h_init_sample_ = comm_->register_handler(
         "init_sample", [this](int, serial::InArchive& ar) {
@@ -794,15 +809,15 @@ class DnndEngine {
               rng_.uniform_below(points_.size());
           const VertexId u = points_.id_at(local);
           if (u == v) return;  // rare self-collision: drop this sample
-          const Dist d = eval(points_[u], scratch_feature_);
+          const Dist d = eval(points_.row(local), scratch_feature_);
           comm_->async(partition_.owner(v), h_init_rep_, v, u, d);
         });
     h_rev_edge_ = comm_->register_handler(
         "rev_edge", [this](int, serial::InArchive& ar) {
-          const auto target = ar.read<VertexId>();
+          RowScratch& row = row_scratch_[points_.row_of(ar.read<VertexId>())];
           const auto source = ar.read<VertexId>();
           const auto d = ar.read<Dist>();
-          extra_edges_[target].push_back(Neighbor{source, d, false});
+          row.extra_edges.push_back(Neighbor{source, d, false});
         });
   }
 
@@ -815,23 +830,26 @@ class DnndEngine {
 
   FeatureStore<T> points_;
   std::uint64_t global_n_ = 0;
-  // The graph rows allocate through the ledger: the map's node storage
-  // and every row's heap are charged to mem.engine.graph. Iteration
-  // scratch (old/new/reverse samples, optimization buffers below) is
-  // deliberately untagged — transient per-iteration state, documented in
-  // DESIGN.md's memory-accounting row.
-  using ListMapAlloc =
-      telemetry::CountingAllocator<std::pair<const VertexId, NeighborList>>;
-  using ListMap = std::unordered_map<VertexId, NeighborList,
-                                     std::hash<VertexId>,
-                                     std::equal_to<VertexId>, ListMapAlloc>;
-  ListMap lists_;
+  // Row-indexed state: entry i of lists_ and row_scratch_ belongs to
+  // points_.id_at(i). The graph rows allocate through the ledger: the
+  // lists_ array and every row's heap are charged to mem.engine.graph.
+  // row_scratch_ is deliberately untagged — transient per-iteration
+  // state, documented in DESIGN.md's memory-accounting row.
+  std::vector<NeighborList, telemetry::CountingAllocator<NeighborList>> lists_;
 
-  // Per-iteration sampling state.
-  std::unordered_map<VertexId, std::vector<VertexId>> old_ids_;
-  std::unordered_map<VertexId, std::vector<VertexId>> new_ids_;
-  std::unordered_map<VertexId, std::vector<VertexId>> rev_old_;
-  std::unordered_map<VertexId, std::vector<VertexId>> rev_new_;
+  /// One row's per-iteration state. Each vector is cleared, never freed,
+  /// between uses, so it keeps its capacity across iterations.
+  struct RowScratch {
+    std::vector<VertexId> old_ids;  ///< sampled old neighbors (+ reversed)
+    std::vector<VertexId> new_ids;  ///< sampled new neighbors (+ reversed)
+    std::vector<VertexId> rev_old;  ///< reversed entries received (§4.2)
+    std::vector<VertexId> rev_new;
+    /// Type-1 survivors with this row as u1, as forward_key()s; empty at
+    /// every iteration barrier.
+    std::vector<std::uint64_t> forward;
+    std::vector<Neighbor> extra_edges;  ///< §4.5 reverse edges received
+  };
+  std::vector<RowScratch> row_scratch_;
 
   // Resumable cursors (§4.4 batching).
   std::size_t init_cursor_ = 0;
@@ -840,10 +858,9 @@ class DnndEngine {
   std::size_t check_vertex_ = 0;
   std::size_t check_i_ = 0;
 
-  // Neighbor-check state. forward_[r] holds the (u1, u2) pairs this rank
-  // kept in the Type-1 round for owner(u2) == r; the Type-2+ round empties
-  // it, so it is empty at every iteration barrier.
-  std::vector<std::vector<std::pair<VertexId, VertexId>>> forward_;
+  // Neighbor-check state: the rows whose forward bucket the Type-1 round
+  // filled, in arrival order; the Type-2+ round empties it.
+  std::vector<std::size_t> forward_rows_;
   std::vector<VertexId> check_row_;
   /// One (u2, d) pair of a Type-3 reply; 8 bytes on the wire, no padding.
   struct CheckReply {
@@ -855,12 +872,10 @@ class DnndEngine {
   std::vector<CheckReply> replies_;
   // check_bundle's reused buffers.
   std::vector<VertexId> bundle_ids_;
-  std::vector<NeighborList*> bundle_lists_;
-  std::vector<const T*> bundle_rows_;
+  std::vector<std::size_t> bundle_rows_;
+  std::vector<const T*> bundle_ptrs_;
   std::vector<Dist> bundle_dists_;
 
-  // Optimization state.
-  std::unordered_map<VertexId, std::vector<Neighbor>> extra_edges_;
   std::vector<std::pair<VertexId, std::vector<Neighbor>>> optimized_rows_;
 
   std::uint64_t updates_ = 0;

@@ -166,6 +166,7 @@ class DnndRunner {
       return engines_[at(r)]->emit_pending_init_chunk(quota);
     });
     for (auto& engine : engines_) engine->take_update_count();
+    optimized_ = false;  // rows changed; a previous optimize() is stale
   }
 
   /// Deletes points. Every rank drops its local points and then repairs
@@ -186,6 +187,7 @@ class DnndRunner {
       engines_[at(r)]->repair_after_removal(sorted);
     });
     refresh_counts();
+    optimized_ = false;  // rows changed; a previous optimize() is stale
   }
 
   /// Runs NN-Descent iterations over the current (mutated) shards until

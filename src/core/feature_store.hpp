@@ -64,12 +64,17 @@ class FeatureStore {
 
   [[nodiscard]] bool contains(VertexId id) const { return index_.contains(id); }
 
-  [[nodiscard]] std::span<const T> operator[](VertexId id) const {
+  /// Local (insertion) index of a stored id; throws on an unknown id.
+  [[nodiscard]] std::size_t row_of(VertexId id) const {
     const auto it = index_.find(id);
     if (it == index_.end()) {
       throw std::out_of_range("FeatureStore: unknown id");
     }
-    return row(it->second);
+    return it->second;
+  }
+
+  [[nodiscard]] std::span<const T> operator[](VertexId id) const {
+    return row(row_of(id));
   }
 
   /// Row by local (insertion) index; useful for iteration.
@@ -121,19 +126,21 @@ class FeatureStore {
   }
 
   /// Removes a batch of points, compacting storage (one O(total) rebuild
-  /// regardless of batch size). Unknown ids are ignored. Local indices of
-  /// surviving rows change; callers holding indices must re-resolve.
-  void remove_batch(std::span<const VertexId> removed) {
-    if (removed.empty()) return;
+  /// regardless of batch size). Unknown ids are ignored. Returns the
+  /// compaction: element i is the old local index of the row now at i,
+  /// so a caller keeping row-indexed state can compact it the same way.
+  std::vector<std::size_t> remove_batch(std::span<const VertexId> removed) {
     std::vector<bool> drop(ids_.size(), false);
-    bool any = false;
     for (const VertexId id : removed) {
       const auto it = index_.find(id);
-      if (it == index_.end()) continue;
-      drop[it->second] = true;
-      any = true;
+      if (it != index_.end()) drop[it->second] = true;
     }
-    if (!any) return;
+    std::vector<std::size_t> kept;
+    kept.reserve(ids_.size());
+    for (std::size_t i = 0; i < ids_.size(); ++i) {
+      if (!drop[i]) kept.push_back(i);
+    }
+    if (kept.size() == ids_.size()) return kept;
     // Rebuild into vectors sharing the members' (possibly tagged)
     // allocators so the compacted storage stays on the same ledger tag.
     decltype(values_) values(values_.get_allocator());
@@ -141,11 +148,10 @@ class FeatureStore {
     std::vector<VertexId> ids;
     values.reserve(values_.size());
     offsets.reserve(offsets_.size());
-    ids.reserve(ids_.size());
+    ids.reserve(kept.size());
     index_.clear();
     offsets.push_back(0);
-    for (std::size_t i = 0; i < ids_.size(); ++i) {
-      if (drop[i]) continue;
+    for (const std::size_t i : kept) {
       const auto r = row(i);
       values.insert(values.end(), r.begin(), r.end());
       offsets.push_back(values.size());
@@ -155,6 +161,7 @@ class FeatureStore {
     values_ = std::move(values);
     offsets_ = std::move(offsets);
     ids_ = std::move(ids);
+    return kept;
   }
 
  private:

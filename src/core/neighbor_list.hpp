@@ -37,6 +37,8 @@ class NeighborList {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
   [[nodiscard]] bool full() const noexcept { return heap_.size() == capacity_; }
+  /// Drops every entry, keeping the reserved storage.
+  void clear() noexcept { heap_.clear(); }
 
   /// Distance of the farthest stored neighbor; +inf while not full, so any
   /// candidate is accepted during warm-up.

@@ -3,7 +3,9 @@
 // losslessness of pruning), §4.4 batching, and §4.5 graph optimization.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
+#include <vector>
 
 #include "baselines/brute_force.hpp"
 #include "core/distance.hpp"
@@ -105,6 +107,65 @@ TEST(Dnnd, DeterministicUnderSequentialDriver) {
     return runner.gather();
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+/// FNV-1a over every row's (id, distance bits), rows in vertex order.
+std::uint64_t graph_fingerprint(const core::KnnGraph& graph) {
+  std::uint64_t h = 14695981039346656037ULL;
+  auto mix = [&](std::uint32_t word) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (word >> (8 * b)) & 0xFFU;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (core::VertexId v = 0; v < graph.num_vertices(); ++v) {
+    for (const core::Neighbor& n : graph.neighbors(v)) {
+      mix(n.id);
+      mix(std::bit_cast<std::uint32_t>(n.distance));
+    }
+  }
+  return h;
+}
+
+TEST(Dnnd, SequentialBuildMatchesPinnedFingerprint) {
+  // The sequential driver's graph and counters, pinned. How the engine
+  // stores its per-vertex state is not part of the algorithm, so a
+  // change of representation must leave every bit here in place; only an
+  // intended algorithm change may re-pin, and it must say why. Batched
+  // kernel, 4 ranks and several §4.4 chunks per iteration, so the pin
+  // covers every optimized handler.
+  data::MixtureSpec spec;
+  spec.dim = 32;
+  spec.num_clusters = 16;
+  spec.seed = 26;
+  const data::GaussianMixture family(spec);
+  const auto points = family.sample(2000, 1);
+  Environment env(Config{.num_ranks = 4});
+  DnndRunner<float, core::L2Kernel<float>> runner(env, base_config(10), {});
+  runner.distribute(points);
+  runner.build();
+  auto metrics = env.aggregate_metrics();
+  EXPECT_EQ(graph_fingerprint(runner.gather()), 0x4e368244fbe8017cULL);
+  EXPECT_EQ(metrics.counter_value("engine.distance_evals"), 546050U);
+  EXPECT_EQ(metrics.counter_value("engine.updates"), 124158U);
+
+  // Deletions compact each shard; half the inserts reuse deleted ids, so
+  // a shard's row order stops following id order before the refinement.
+  std::vector<core::VertexId> removed;
+  for (core::VertexId v = 0; v < 2000; v += 7) removed.push_back(v);
+  const auto fresh = family.sample(100, 2);
+  core::FeatureStore<float> added;
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    added.add(i < 50 ? removed[i] : static_cast<core::VertexId>(2000 + i),
+              fresh.row(i));
+  }
+  runner.remove_points(removed);
+  runner.add_points(added);
+  runner.refine();
+  metrics = env.aggregate_metrics();
+  EXPECT_EQ(graph_fingerprint(runner.gather()), 0x5d48f1fb29ea62e4ULL);
+  EXPECT_EQ(metrics.counter_value("engine.distance_evals"), 723868U);
+  EXPECT_EQ(metrics.counter_value("engine.updates"), 140715U);
 }
 
 // -- §4.3 communication saving -------------------------------------------------

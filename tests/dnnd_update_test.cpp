@@ -2,6 +2,8 @@
 // or deleted, followed by a short NN-Descent refinement phase).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/brute_force.hpp"
 #include "comm/environment.hpp"
 #include "core/distance.hpp"
@@ -40,8 +42,10 @@ core::DnndConfig config() {
 TEST(FeatureStoreRemove, CompactsAndPreservesSurvivors) {
   core::FeatureStore<float> store(5, 2, {0, 0, 1, 1, 2, 2, 3, 3, 4, 4});
   const std::vector<core::VertexId> removed = {1, 3};
-  store.remove_batch(removed);
+  // The compaction: the old row of each surviving row, in new row order.
+  EXPECT_EQ(store.remove_batch(removed), (std::vector<std::size_t>{0, 2, 4}));
   EXPECT_EQ(store.size(), 3u);
+  EXPECT_EQ(store.row_of(4), 2u);
   EXPECT_FALSE(store.contains(1));
   EXPECT_FALSE(store.contains(3));
   EXPECT_EQ(store[0][0], 0.0f);
@@ -51,9 +55,10 @@ TEST(FeatureStoreRemove, CompactsAndPreservesSurvivors) {
 
 TEST(FeatureStoreRemove, IgnoresUnknownIdsAndEmptyBatches) {
   core::FeatureStore<float> store(2, 1, {7, 8});
-  store.remove_batch(std::vector<core::VertexId>{});
+  const std::vector<std::size_t> identity = {0, 1};
+  EXPECT_EQ(store.remove_batch(std::vector<core::VertexId>{}), identity);
   EXPECT_EQ(store.size(), 2u);
-  store.remove_batch(std::vector<core::VertexId>{99});
+  EXPECT_EQ(store.remove_batch(std::vector<core::VertexId>{99}), identity);
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store[1][0], 8.0f);
 }
@@ -198,6 +203,78 @@ TEST(DnndUpdate, QualityHoldsAfterDeleteAndRefine) {
     ++counted;
   }
   EXPECT_GT(sum / static_cast<double>(counted), 0.8);
+}
+
+TEST(DnndUpdate, RemoveAfterOptimizeDropsTheOptimizedRows) {
+  // optimize() then remove_points() with no refine() in between: gather()
+  // must not hand back the optimized rows, which predate the deletion.
+  const auto initial = family().sample(400, 1);
+  comm::Environment env(comm::Config{.num_ranks = 4});
+  core::DnndRunner<float, L2Fn> runner(env, config(), L2Fn{});
+  runner.distribute(initial);
+  runner.build();
+  runner.optimize();
+
+  std::vector<core::VertexId> removed;
+  for (core::VertexId v = 0; v < 400; v += 5) removed.push_back(v);
+  runner.remove_points(removed);
+  const auto graph = runner.gather();
+
+  auto is_removed = [&](core::VertexId id) { return id % 5 == 0; };
+  std::size_t removed_rows = 0, removed_refs = 0;
+  for (core::VertexId v = 0; v < graph.num_vertices(); ++v) {
+    if (is_removed(v) && !graph.neighbors(v).empty()) ++removed_rows;
+    for (const auto& n : graph.neighbors(v)) {
+      if (is_removed(n.id)) ++removed_refs;
+    }
+  }
+  EXPECT_EQ(removed_rows, 0u);
+  EXPECT_EQ(removed_refs, 0u);
+}
+
+TEST(DnndUpdate, RowStateFollowsFeatureRowsThroughMutation) {
+  // Every engine keeps its neighbor rows in its feature store's row
+  // order; deletions compact both and inserts append to both.
+  const auto fam = family();
+  const auto initial = fam.sample(400, 1);
+  const auto extra_raw = fam.sample(60, 3);
+  core::FeatureStore<float> extra;
+  // Inserted ids interleave below the initial maximum once the victims
+  // are gone, so row order and id order part ways.
+  std::vector<core::VertexId> removed;
+  for (core::VertexId v = 0; v < 400; v += 7) removed.push_back(v);
+  for (std::size_t i = 0; i < extra_raw.size(); ++i) {
+    extra.add(static_cast<core::VertexId>(i < 30 ? removed[i] : 400 + i),
+              extra_raw.row(i));
+  }
+
+  comm::Environment env(comm::Config{.num_ranks = 4});
+  core::DnndRunner<float, L2Fn> runner(env, config(), L2Fn{});
+  runner.distribute(initial);
+  runner.build();
+  runner.remove_points(removed);
+  runner.add_points(extra);
+  runner.refine();
+
+  auto is_removed = [&](core::VertexId id) {
+    return std::binary_search(removed.begin(), removed.end(), id) &&
+           !extra.contains(id);
+  };
+  for (int r = 0; r < 4; ++r) {
+    const auto& engine = runner.engine(r);
+    const auto rows = engine.shard_rows();
+    const auto& ids = engine.local_points().ids();
+    ASSERT_EQ(rows.size(), ids.size()) << "rank " << r;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].first, ids[i]) << "rank " << r << " row " << i;
+      EXPECT_FALSE(is_removed(rows[i].first));
+      EXPECT_FALSE(rows[i].second.empty()) << "vertex " << rows[i].first;
+      for (const auto& n : rows[i].second) {
+        EXPECT_FALSE(is_removed(n.id))
+            << "dangling edge " << rows[i].first << "->" << n.id;
+      }
+    }
+  }
 }
 
 TEST(DnndUpdate, InsertThenDeleteRoundTrip) {

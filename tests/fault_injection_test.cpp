@@ -548,8 +548,11 @@ TEST(CrashFault, StalledRankIsNotAccusedOfDeath) {
 }
 
 TEST(CrashFault, ThreadedDriverPropagatesRankFailure) {
+  // Tick 1 is rank 2's first collect, which every schedule reaches: the
+  // world cannot quiesce while rank 2's inbound datagrams sit uncollected.
+  // A later tick can lie beyond the last collect the phase needs.
   FaultPlan plan;
-  plan.crashes.push_back(mpi::CrashFault{.rank = 2, .at_tick = 5});
+  plan.crashes.push_back(mpi::CrashFault{.rank = 2, .at_tick = 1});
   Config cfg{.num_ranks = 3, .driver = DriverKind::kThreaded};
   cfg.fault_plan = plan;
   Environment env(cfg);
